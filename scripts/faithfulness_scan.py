@@ -1,31 +1,25 @@
 #!/usr/bin/env python3
 """Scan backends and dimensions: process-span dims, lifting ranks, dimension law."""
 
-from gpt_tomo import (
-    find_faithful_state,
-    is_locally_tomographic,
-    process_space_basis,
-    system,
-)
-from gpt_tomo.backends import matrix_rank
 from gpt_tomo.core import BACKENDS
-from gpt_tomo.tomography import lifting_matrix
+from gpt_tomo.tomography import faithful_state_check, local_tomography_check
 
 
 def main() -> None:
     print(f"{'backend':<10} {'d':>2} {'span dim':>9} {'lift rank':>10} {'faithful':>9}")
     for backend in BACKENDS:
         for d in (2, 3):
-            a = system(backend, d)
-            basis = process_space_basis(a, a, seed=0)
-            phi = find_faithful_state(a)
-            rank = matrix_rank(lifting_matrix(phi, a, basis))
-            print(f"{backend:<10} {d:>2} {basis.dim:>9} {rank:>10} {str(rank == basis.dim):>9}")
+            rep = faithful_state_check(backend, d, d)
+            det = rep.details
+            print(
+                f"{backend:<10} {d:>2} {det['process_span_dim']:>9} {det['lifting_rank']:>10}"
+                f" {str(rep.passed):>9}"
+            )
 
     print("\nLocal tomography dimension law:")
     for backend in BACKENDS:
         for d1, d2 in ((2, 2), (2, 3), (3, 3)):
-            rep = is_locally_tomographic(system(backend, d1), system(backend, d2))
+            rep = local_tomography_check(backend, d1, d2)
             det = rep.details
             print(
                 f"  {backend}({d1}) x {backend}({d2}): composite {det['dim_composite']:>3}"

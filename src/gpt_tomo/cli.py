@@ -1,4 +1,4 @@
-"""Command-line front end producing JSON verification reports.
+"""Command-line front end: a dispatch table over the library's check reports.
 
 Subcommands::
 
@@ -10,40 +10,56 @@ Subcommands::
     verify purification --backend B --d d
     run FILE.opt
 
-Global flags ``--tol``, ``--seed`` and ``--json`` may follow any subcommand.
-Human-readable output is the default; ``--json`` prints one report object
-with the stable top-level keys {check, pass, tolerance, seed, details}.
-Numbers are printed with 12 significant digits and identical seed and flags
-produce byte-identical JSON.  The environment variable ``GPT_TOMO_TOL``
-overrides the default tolerance; ``--tol`` overrides both.  Exit status: 0
-on pass, 1 on fail, 2 on usage errors.
+Each subcommand is one library call that builds its witness, checks it and
+returns a ``CheckReport``; this module only parses flags and prints that
+report.  Global flags ``--tol``, ``--seed`` and ``--json`` may follow any
+subcommand.  Human-readable output is the default; ``--json`` prints one
+report object with the stable top-level keys {check, pass, tolerance, seed,
+details}.  Numbers are printed with 12 significant digits and identical seed
+and flags produce byte-identical JSON.  The environment variable
+``GPT_TOMO_TOL`` overrides the default tolerance; ``--tol`` overrides both.
+Exit status: 0 on pass, 1 on fail, 2 on usage errors: unknown flags,
+dimensions or sample counts below 1, negative seeds, and tolerances that are
+not finite and positive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from . import backends as bk
 from . import dsl
 from . import tomography as tomo
 from . import witnesses as wit
-from .core import (
-    BACKENDS,
-    CLASSICAL,
-    DEFAULT_TOL,
-    apply_to_factors,
-    kraus_process,
-    marginal,
-    system,
-)
-from .rebit import counterexample_report
-from .reports import CheckReport
+from .core import BACKENDS, DEFAULT_TOL
+from .rebit import counterexample_check
+from .reports import CheckReport, UsageError
+
+
+def _above(convert: Callable[[str], float], bound: float) -> Callable[[str], float]:
+    """An argparse type: ``convert`` the flag and require a finite value above ``bound``."""
+
+    def parse(raw: str) -> float:
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = math.nan
+        if not bound < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {convert.__name__} above {bound}, got {raw!r}"
+            )
+        return value
+
+    return parse
+
+
+_tolerance, _positive_int, _seed = _above(float, 0), _above(int, 0), _above(int, -1)
 
 
 def _default_tol() -> float:
@@ -51,25 +67,19 @@ def _default_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
-    except ValueError:
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError:
         print(f"gpt-tomo: invalid GPT_TOMO_TOL value {raw!r}", file=sys.stderr)
         raise SystemExit(2)
 
 
 def _round12(value: Any) -> Any:
     """Round every float to 12 significant digits for stable serialization."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round12(v) for v in value]
-    if isinstance(value, np.floating):
+    if isinstance(value, (float, np.floating)):
         return float(f"{float(value):.12g}")
     if isinstance(value, np.integer):
         return int(value)
@@ -79,7 +89,7 @@ def _round12(value: Any) -> Any:
 def _emit(report: CheckReport, as_json: bool) -> int:
     payload = _round12(report.to_dict())
     if as_json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         status = "PASS" if report.passed else "FAIL"
         print(f"[{status}] {report.check} (tolerance {report.tolerance:.12g})")
@@ -88,210 +98,17 @@ def _emit(report: CheckReport, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _system(backend: str, *dims: int):
-    if backend not in BACKENDS:
-        raise SystemExit(2)
-    return system(backend, *dims)
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-def _cmd_check_local_tomo(args: argparse.Namespace) -> int:
-    a = _system(args.backend, args.dims[0])
-    b = _system(args.backend, args.dims[1])
-    report = tomo.is_locally_tomographic(a, b, tol=args.tol)
-    return _emit(
-        CheckReport(report.check, report.passed, args.tol, args.seed, report.details),
-        args.json,
-    )
-
-
-def _cmd_check_faithful(args: argparse.Namespace) -> int:
-    a = _system(args.backend, args.din)
-    b = _system(args.backend, args.dout)
-    basis = bk.process_space_basis(a, b, seed=args.seed)
-    phi = tomo.find_faithful_state(a)
-    rank = bk.matrix_rank(tomo.lifting_matrix(phi, a, basis))
-    report = CheckReport(
-        check="dynamically-faithful",
-        passed=rank == basis.dim,
-        tolerance=args.tol,
-        seed=args.seed,
-        details={
-            "backend": args.backend,
-            "din": args.din,
-            "dout": args.dout,
-            "process_span_dim": basis.dim,
-            "lifting_rank": rank,
-            "reference_dim": list(phi.system.dims[a.n_factors :]),
-        },
-    )
-    return _emit(report, args.json)
-
-
-def _cmd_demo_rebit(args: argparse.Namespace) -> int:
-    rep = counterexample_report(args.tol, seed=args.seed or 0)
-    passed = (
-        rep.max_local_deviation <= 1e-12
-        and rep.orthogonality_gap <= 1e-12
-        and abs(rep.trace_distance - 1.0) <= 1e-9
-        and rep.local_stats_max_gap <= 1e-12
-        and rep.faithful_rank == 10
-    )
-    report = CheckReport(
-        check="rebit-counterexample",
-        passed=passed,
-        tolerance=args.tol,
-        seed=args.seed or 0,
-        details=rep.to_dict(),
-    )
-    return _emit(report, args.json)
-
-
-def _cmd_verify_teleport(args: argparse.Namespace) -> int:
-    a = _system(args.backend, args.d)
-    phi, effect, p = wit.teleportation_witness(a)
-    residual = 0.0
-    for rho in bk.spanning_states(a):
-        out = wit.teleport_map(phi, effect, rho, tol=args.tol)
-        residual = max(residual, float(np.abs(out.coords - p * rho.coords).max()))
-    report = CheckReport(
-        check="conclusive-teleportation",
-        passed=residual <= max(args.tol, 1e-12),
-        tolerance=args.tol,
-        seed=args.seed,
-        details={"backend": args.backend, "d": args.d, "p": p, "max_residual": residual},
-    )
-    return _emit(report, args.json)
-
-
-def _cmd_verify_universal_extension(args: argparse.Namespace) -> int:
-    a = _system(args.backend, args.d)
-    omega = bk.complete_state(a)
-    phi, effect, p_tele = wit.teleportation_witness(a)
-    rng = np.random.default_rng(args.seed)
-    tele_residual = 0.0
-    puri_residual = 0.0
-    ok = True
-    for _ in range(args.samples):
-        gamma = bk.random_extension(omega, a, rng)
-        try:
-            p, t_proc = wit.extension_from_teleportation(phi, effect, gamma, tol=args.tol)
-            moved = apply_to_factors(t_proc, phi, a.n_factors)
-            tele_residual = max(
-                tele_residual, float(np.abs(moved.coords - p * gamma.coords).max())
-            )
-        except (ValueError, AssertionError):
-            ok = False
-        if a.backend != CLASSICAL:
-            try:
-                chan = wit.channel_from_purification(phi, gamma, tol=args.tol)
-                moved = apply_to_factors(chan, phi, a.n_factors)
-                puri_residual = max(
-                    puri_residual, float(np.abs(moved.coords - gamma.coords).max())
-                )
-            except (ValueError, AssertionError):
-                ok = False
-    residual = max(tele_residual, puri_residual)
-    details = {
-        "backend": args.backend,
-        "d": args.d,
-        "samples": args.samples,
-        "p": p_tele,
-        "teleportation_max_residual": tele_residual,
-    }
-    if a.backend != CLASSICAL:
-        details["purification_max_residual"] = puri_residual
-    report = CheckReport(
-        check="universal-extension",
-        passed=ok and residual <= max(args.tol, 1e-9),
-        tolerance=args.tol,
-        seed=args.seed,
-        details=details,
-    )
-    return _emit(report, args.json)
-
-
-def _cmd_verify_purification(args: argparse.Namespace) -> int:
-    if args.backend == CLASSICAL:
-        print("gpt-tomo: the classical backend admits no purification", file=sys.stderr)
-        return 2
-    a = _system(args.backend, args.d)
-    rng = np.random.default_rng(args.seed)
-    rho = bk.random_state(a, rng)
-    psi = bk.purify(rho, tol=args.tol)
-    marginal_dev = float(np.abs(marginal(psi, 0).coords - rho.coords).max())
-    purity_rank = bk.matrix_rank(psi.matrix)
-    # symmetry: rotate the reference side, then reconnect
-    n = a.total_dim
-    g = rng.normal(size=(n, n))
-    if args.backend == "quantum":
-        g = g + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.real(np.diag(r)))
-    psi2 = apply_to_factors(kraus_process(a, a, [q]), psi, a.n_factors)
-    u_proc = wit.connect_purifications(psi, psi2, tol=args.tol)
-    reconnected = apply_to_factors(u_proc, psi, a.n_factors)
-    connect_dev = float(np.abs(reconnected.coords - psi2.coords).max())
-    passed = (
-        marginal_dev <= max(args.tol, 1e-12)
-        and purity_rank == 1
-        and u_proc.reversible
-        and connect_dev <= max(args.tol, 1e-9)
-    )
-    report = CheckReport(
-        check="purification",
-        passed=passed,
-        tolerance=args.tol,
-        seed=args.seed,
-        details={
-            "backend": args.backend,
-            "d": args.d,
-            "marginal_max_deviation": marginal_dev,
-            "purification_rank": purity_rank,
-            "connection_max_deviation": connect_dev,
-            "connection_reversible": u_proc.reversible,
-        },
-    )
-    return _emit(report, args.json)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        result = dsl.run_file(args.file, tol=args.tol)
-    except dsl.DslError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"gpt-tomo: {exc}", file=sys.stderr)
-        return 2
-    if result.kind == "scalar":
-        value: Any = result.payload
-    elif result.kind in ("state", "effect"):
-        value = [float(x) for x in result.payload.coords]
-    else:
-        value = repr(result.payload)
-    report = CheckReport(
-        check="run",
-        passed=True,
-        tolerance=args.tol,
-        seed=args.seed,
-        details={"file": args.file, "kind": result.kind, "value": value},
-    )
-    return _emit(report, args.json)
-
-
-# ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing: each subcommand's ``check`` maps its flags to one library call
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="numerical tolerance")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+    common.add_argument("--tol", type=_tolerance, default=None, help="numerical tolerance")
+    common.add_argument("--seed", type=_seed, default=0, help="seed for randomized checks")
     common.add_argument("--json", action="store_true", help="machine-readable output")
+    on_backend = argparse.ArgumentParser(add_help=False, parents=[common])
+    on_backend.add_argument("--backend", required=True, choices=BACKENDS)
 
     parser = argparse.ArgumentParser(
         prog="gpt-tomo",
@@ -301,54 +118,60 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="structural checks")
     check_sub = check.add_subparsers(dest="subcommand", required=True)
-    lt = check_sub.add_parser("local-tomo", parents=[common], help="local tomography dimension law")
-    lt.add_argument("--backend", required=True, choices=BACKENDS)
-    lt.add_argument("--dims", required=True, type=int, nargs=2, metavar=("D1", "D2"))
-    lt.set_defaults(func=_cmd_check_local_tomo)
-    cf = check_sub.add_parser("faithful", parents=[common], help="dynamically faithful state rank")
-    cf.add_argument("--backend", required=True, choices=BACKENDS)
-    cf.add_argument("--din", required=True, type=int)
-    cf.add_argument("--dout", required=True, type=int)
-    cf.set_defaults(func=_cmd_check_faithful)
+    lt = check_sub.add_parser("local-tomo", parents=[on_backend], help="local tomography dimension law")
+    lt.add_argument("--dims", required=True, type=_positive_int, nargs=2, metavar=("D1", "D2"))
+    lt.set_defaults(
+        check=lambda a: tomo.local_tomography_check(a.backend, *a.dims, tol=a.tol, seed=a.seed)
+    )
+    cf = check_sub.add_parser("faithful", parents=[on_backend], help="dynamically faithful state rank")
+    cf.add_argument("--din", required=True, type=_positive_int)
+    cf.add_argument("--dout", required=True, type=_positive_int)
+    cf.set_defaults(
+        check=lambda a: tomo.faithful_state_check(a.backend, a.din, a.dout, tol=a.tol, seed=a.seed)
+    )
 
     demo = sub.add_parser("demo", help="illustrative reproductions")
     demo_sub = demo.add_subparsers(dest="subcommand", required=True)
     dr = demo_sub.add_parser("rebit", parents=[common], help="real-backend counterexample")
-    dr.set_defaults(func=_cmd_demo_rebit)
+    dr.set_defaults(check=lambda a: counterexample_check(a.tol, seed=a.seed))
 
     verify = sub.add_parser("verify", help="constructive witnesses")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    vt = verify_sub.add_parser("teleport", parents=[common], help="conclusive teleportation identity")
-    vt.add_argument("--backend", required=True, choices=BACKENDS)
-    vt.add_argument("--d", required=True, type=int)
-    vt.set_defaults(func=_cmd_verify_teleport)
+    vt = verify_sub.add_parser("teleport", parents=[on_backend], help="conclusive teleportation identity")
+    vt.add_argument("--d", required=True, type=_positive_int)
+    vt.set_defaults(check=lambda a: wit.teleportation_check(a.backend, a.d, tol=a.tol, seed=a.seed))
     vu = verify_sub.add_parser(
-        "universal-extension", parents=[common], help="universal extension witnesses"
+        "universal-extension", parents=[on_backend], help="universal extension witnesses"
     )
-    vu.add_argument("--backend", required=True, choices=BACKENDS)
-    vu.add_argument("--d", required=True, type=int)
-    vu.add_argument("--samples", type=int, default=10)
-    vu.set_defaults(func=_cmd_verify_universal_extension)
-    vp = verify_sub.add_parser("purification", parents=[common], help="purification symmetry")
-    vp.add_argument("--backend", required=True, choices=BACKENDS)
-    vp.add_argument("--d", required=True, type=int)
-    vp.set_defaults(func=_cmd_verify_purification)
+    vu.add_argument("--d", required=True, type=_positive_int)
+    vu.add_argument("--samples", type=_positive_int, default=10)
+    vu.set_defaults(
+        check=lambda a: wit.universal_extension_check(
+            a.backend, a.d, samples=a.samples, tol=a.tol, seed=a.seed
+        )
+    )
+    vp = verify_sub.add_parser("purification", parents=[on_backend], help="purification symmetry")
+    vp.add_argument("--d", required=True, type=_positive_int)
+    vp.set_defaults(check=lambda a: wit.purification_check(a.backend, a.d, tol=a.tol, seed=a.seed))
 
     runp = sub.add_parser("run", parents=[common], help="evaluate a circuit file")
     runp.add_argument("file", metavar="FILE.opt")
-    runp.set_defaults(func=_cmd_run)
+    runp.set_defaults(check=lambda a: dsl.run_check(a.file, tol=a.tol, seed=a.seed))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.tol is None:
         args.tol = _default_tol()
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
-        return args.func(args)
+        return _emit(args.check(args), args.json)
+    except (UsageError, OSError) as exc:
+        print(f"gpt-tomo: {exc}", file=sys.stderr)
+        return 2
+    except dsl.DslError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except (ValueError, AssertionError) as exc:
         print(f"gpt-tomo: {exc}", file=sys.stderr)
         return 1

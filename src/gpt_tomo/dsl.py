@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Any
+
 import numpy as np
 
 from . import backends as bk
@@ -58,6 +60,7 @@ from .core import (
     trivial,
     trivial_state,
 )
+from .reports import CheckReport
 
 KEYWORDS = {"system", "state", "effect", "proc", "on", "run", "id"}
 BACKEND_NAMES = set(BACKENDS)
@@ -679,3 +682,15 @@ def run_program(text: str, filename: str = "<string>", tol: float = DEFAULT_TOL)
 def run_file(path: str, tol: float = DEFAULT_TOL) -> EvalResult:
     with open(path, "r", encoding="utf-8") as fh:
         return run_program(fh.read(), filename=path, tol=tol)
+
+
+def run_check(path: str, *, tol: float = DEFAULT_TOL, seed: int = 0) -> CheckReport:
+    """Evaluate a circuit file into a passing ``run`` report carrying its value."""
+    result = run_file(path, tol=tol)
+    if result.kind == "scalar":
+        value: Any = result.payload
+    elif result.kind in ("state", "effect"):
+        value = [float(x) for x in result.payload.coords]
+    else:
+        value = repr(result.payload)
+    return CheckReport("run", True, tol, seed, {"file": path, "kind": result.kind, "value": value})

@@ -29,6 +29,7 @@ from .core import (
     tensor_effects,
     tensor_systems,
 )
+from .reports import CheckReport
 from .tomography import lifting_matrix
 
 PAULI = {
@@ -153,3 +154,16 @@ def counterexample_report(
         tolerance=tol,
         seed=seed,
     )
+
+
+def counterexample_check(tol: float = DEFAULT_TOL, *, seed: int = 0) -> CheckReport:
+    """The counterexample as a report: every number must hit its theory value."""
+    rep = counterexample_report(tol, seed=seed)
+    passed = (
+        rep.max_local_deviation <= 1e-12
+        and rep.orthogonality_gap <= 1e-12
+        and abs(rep.trace_distance - 1.0) <= 1e-9
+        and rep.local_stats_max_gap <= 1e-12
+        and rep.faithful_rank == 10
+    )
+    return CheckReport("rebit-counterexample", passed, tol, seed, rep.to_dict())

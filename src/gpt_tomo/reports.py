@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+class UsageError(ValueError):
+    """A request outside a check's domain, such as purifying a classical system."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification: pass/fail plus the numbers behind it.

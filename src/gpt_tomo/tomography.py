@@ -17,6 +17,8 @@ matrix has full rank against the process-space dimension.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import backends as bk
@@ -33,6 +35,7 @@ from .core import (
     source_states,
     state_from_coords,
     state_from_matrix,
+    system,
     tensor_effects,
     tensor_systems,
 )
@@ -67,18 +70,17 @@ def _states_close(a: StateVector, b: StateVector, tol: float) -> bool:
 # Containment and complete states
 # ---------------------------------------------------------------------------
 
-CONTAINS_BISECTION_ITERS = 60
-
-
 def contains(
     rho: StateVector, sigma: StateVector, *, tol: float = DEFAULT_TOL
 ) -> tuple[float, StateVector] | None:
     """Largest cancellative p with rho = p sigma + (1-p) tau, tau a state.
 
     Returns ``(p, tau)`` or ``None`` when infeasible.  Quantum criterion:
-    the support of sigma must lie inside the support of rho; p is found by
-    bisection on positive semidefiniteness of rho - p sigma.  Classical:
-    coordinate ratios.
+    the support of sigma must lie inside the support of rho, and then
+    p = 2^(-D_max(sigma || rho)) = 1 / lambda_max(rho^-1/2 sigma rho^-1/2)
+    (Datta, IEEE TIT 55, 2816 (2009)), capped at 1, with rho shifted by the
+    1e-14 eigensolver slack that rho - p sigma may show: any weight of sigma
+    on the kernel of rho still lowers p.  Classical: coordinate ratios.
     """
     if rho.system != sigma.system:
         raise ValueError("containment compares states of one system")
@@ -92,30 +94,23 @@ def contains(
         p = float(np.min(rho.coords[mask] / sigma.coords[mask]))
         p = min(p, 1.0)
     else:
-        r_mat, s_mat = rho.matrix, sigma.matrix
+        s_mat = sigma.matrix
         # support test: sigma must vanish on the kernel of rho
-        vals, vecs = np.linalg.eigh(r_mat)
+        vals, vecs = np.linalg.eigh(rho.matrix)
         kernel = vecs[:, vals <= tol]
         if kernel.size and np.abs(kernel.conj().T @ s_mat @ kernel).max() > np.sqrt(tol):
             return None
-        lo, hi = 0.0, 1.0
-        # acceptance sits at eigensolver-noise level so the remainder state
-        # cannot inherit an amplified negative eigenvalue after division
-        for _ in range(CONTAINS_BISECTION_ITERS):
-            mid = 0.5 * (lo + hi)
-            if float(np.linalg.eigvalsh(r_mat - mid * s_mat).min()) >= -1e-14:
-                lo = mid
-            else:
-                hi = mid
-        p = lo
+        shifted = vals + 1e-14  # the noise slack of rho - p sigma
+        if shifted[0] <= 0.0:
+            return None
+        w = vecs / np.sqrt(shifted)  # (rho + slack)^-1/2 in the eigenbasis of rho
+        top = float(np.linalg.eigvalsh(w.conj().T @ s_mat @ w).max())
+        p = 1.0 if top <= 0.0 else min(1.0, 1.0 / top)
     if p <= tol:
         return None
     if p >= 1.0 - tol:
         return 1.0, rho
-    if sys.backend == CLASSICAL:
-        tau = state_from_coords(sys, (rho.coords - p * sigma.coords) / (1.0 - p), tol=np.sqrt(tol))
-    else:
-        tau = state_from_matrix(sys, (rho.matrix - p * sigma.matrix) / (1.0 - p), tol=np.sqrt(tol))
+    tau = state_from_coords(sys, (rho.coords - p * sigma.coords) / (1.0 - p), tol=np.sqrt(tol))
     return p, tau
 
 
@@ -250,6 +245,25 @@ def is_dynamically_faithful(
     return bk.matrix_rank(lifting_matrix(phi, a, basis), rel_tol=rel_tol) == basis.dim
 
 
+def faithful_state_check(
+    backend: str, din: int, dout: int, *, tol: float = DEFAULT_TOL, seed: int = 0
+) -> CheckReport:
+    """Lifting rank of ``find_faithful_state`` against the processes din -> dout (basis seeded)."""
+    a, b = system(backend, din), system(backend, dout)
+    basis = bk.process_space_basis(a, b, seed=seed)
+    phi = find_faithful_state(a)
+    rank = bk.matrix_rank(lifting_matrix(phi, a, basis))
+    details = {
+        "backend": backend,
+        "din": din,
+        "dout": dout,
+        "process_span_dim": basis.dim,
+        "lifting_rank": rank,
+        "reference_dim": list(phi.system.dims[a.n_factors :]),
+    }
+    return CheckReport("dynamically-faithful", rank == basis.dim, tol, seed, details)
+
+
 def find_faithful_state(a: SystemDescriptor) -> StateVector:
     """A dynamically faithful state for processes out of ``a``, any output.
 
@@ -291,6 +305,13 @@ def is_locally_tomographic(
             "product_effect_span_rank": rank,
         },
     )
+
+
+def local_tomography_check(
+    backend: str, d1: int, d2: int, *, tol: float = DEFAULT_TOL, seed: int = 0
+) -> CheckReport:
+    """``is_locally_tomographic`` on ``system(backend, d1)`` and ``system(backend, d2)``."""
+    return replace(is_locally_tomographic(system(backend, d1), system(backend, d2), tol=tol), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gpt_tomo import cli
+from gpt_tomo import cli, witnesses
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -155,3 +155,49 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,env_tol",
+    [
+        (["verify", "teleport", "--backend", "quantum", "--d", "0"], None),
+        (["verify", "purification", "--backend", "real", "--d", "-2"], None),
+        (["check", "local-tomo", "--backend", "quantum", "--dims", "0", "2"], None),
+        (["check", "faithful", "--backend", "quantum", "--din", "0", "--dout", "2"], None),
+        (["check", "faithful", "--backend", "quantum", "--din", "2", "--dout", "0"], None),
+        (["verify", "universal-extension", "--backend", "quantum", "--d", "2", "--samples", "0"], None),
+        (["verify", "universal-extension", "--backend", "quantum", "--d", "2", "--samples", "-3"], None),
+        (["check", "local-tomo", "--backend", "quantum", "--dims", "2", "2", "--tol", "nan"], None),
+        (["check", "local-tomo", "--backend", "quantum", "--dims", "2", "2", "--tol", "-1"], None),
+        (["verify", "teleport", "--backend", "quantum", "--d", "2", "--tol", "-1"], None),
+        (["verify", "teleport", "--backend", "quantum", "--d", "2", "--tol", "0"], None),
+        (["verify", "teleport", "--backend", "quantum", "--d", "2", "--tol", "inf"], None),
+        (["verify", "purification", "--backend", "quantum", "--d", "2", "--seed", "-1"], None),
+        (["demo", "rebit"], "nan"),
+        (["demo", "rebit"], "-1"),
+        (["demo", "rebit"], "inf"),
+    ],
+    ids=lambda v: "flag" if v is None else "_".join(v) if isinstance(v, list) else f"GPT_TOMO_TOL={v}",
+)
+def test_invalid_numeric_input_is_usage_error(capsys, monkeypatch, argv, env_tol):
+    if env_tol is not None:
+        monkeypatch.setenv("GPT_TOMO_TOL", env_tol)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_teleport_maps_each_spanning_state_once(capsys, monkeypatch, d):
+    calls = []
+    original = witnesses.teleport_map
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(witnesses, "teleport_map", counting)
+    code, _, _ = run_cli(capsys, ["verify", "teleport", "--backend", "quantum", "--d", str(d), "--json"])
+    assert code == 0
+    assert len(calls) == d**2

@@ -117,6 +117,73 @@ def test_containment_is_transitive(backend, seed):
     assert tm.contains(rho, tau) is not None
 
 
+def _contains_p_bisection(rho, sigma, tol=1e-9):
+    """The former ``contains`` search: bisection on PSD-ness of rho - p sigma.
+
+    Classical states run through it as diagonal matrices.  Returns None when
+    sigma leaves the support of rho or p is negligible.
+    """
+    if rho.system.backend == CLASSICAL:
+        r_mat, s_mat = np.diag(rho.coords), np.diag(sigma.coords)
+    else:
+        r_mat, s_mat = rho.matrix, sigma.matrix
+    vals, vecs = np.linalg.eigh(r_mat)
+    kernel = vecs[:, vals <= tol]
+    if kernel.size and np.abs(kernel.conj().T @ s_mat @ kernel).max() > np.sqrt(tol):
+        return None
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(np.linalg.eigvalsh(r_mat - mid * s_mat).min()) >= -1e-14:
+            lo = mid
+        else:
+            hi = mid
+    if lo <= tol:
+        return None
+    return 1.0 if lo >= 1.0 - tol else lo
+
+
+def _leaking_pair(sys, leak):
+    """rho = |0><0| and a pure sigma putting weight ``leak`` on the kernel of rho.
+
+    With ``leak`` under sqrt(tol) sigma passes the support test, so only the
+    PSD condition on the whole space can reject it.
+    """
+    r, s = np.zeros(sys.total_dim), np.zeros(sys.total_dim)
+    r[0] = 1.0
+    if sys.backend == CLASSICAL:
+        s[:2] = 1.0 - leak, leak
+        return c.state_from_coords(sys, r), c.state_from_coords(sys, s)
+    s[:2] = np.sqrt(1.0 - leak), np.sqrt(leak)
+    return c.state_from_matrix(sys, np.diag(r)), c.state_from_matrix(sys, np.outer(s, s))
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3])
+def test_contains_closed_form_matches_bisection(backend, d):
+    sys = system(backend, d)
+    for rho, sigma in (_leaking_pair(sys, 1e-5), _leaking_pair(sys, 1e-4)):
+        assert _contains_p_bisection(rho, sigma) is None
+        assert tm.contains(rho, sigma) is None
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        full, other = bk.random_state(sys, rng), bk.random_state(sys, rng)
+        deficient = bk.random_rank_deficient_state(sys, rng)
+        face = tm.face_spanning_states(deficient)
+        inside = c.mixture(face, rng.dirichlet(np.ones(len(face))))
+        pairs = [(full, other), (other, full), (full, deficient), (deficient, inside),
+                 (deficient, full), (full, full)]
+        for rho, sigma in pairs:
+            expected = _contains_p_bisection(rho, sigma)
+            got = tm.contains(rho, sigma)
+            if expected is None:
+                assert got is None
+                continue
+            p, tau = got
+            assert p == pytest.approx(expected, abs=1e-9)
+            assert np.abs(p * sigma.coords + (1 - p) * tau.coords - rho.coords).max() < 1e-9
+
+
 def test_is_complete(qubit, bit):
     assert tm.is_complete(bk.complete_state(qubit))
     assert not tm.is_complete(c.state_from_matrix(qubit, np.diag([1.0, 0.0])))

@@ -9,6 +9,7 @@ from gpt_tomo import tomography as tm
 from gpt_tomo import witnesses as wt
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system, tensor_systems
 from gpt_tomo.rebit import wootters_pair
+from gpt_tomo.reports import UsageError
 
 from conftest import I2
 
@@ -398,3 +399,8 @@ def test_teleportation_restricted_to_complete_state_face(qubit):
     for rho in tm.face_spanning_states(omega):
         out = wt.teleport_map(phi, effect, rho)
         assert np.abs(out.coords - p * rho.coords).max() < 1e-12
+
+
+def test_universal_extension_check_refuses_zero_samples():
+    with pytest.raises(UsageError, match="at least one sample"):
+        wt.universal_extension_check(QUANTUM, 2, samples=0)
