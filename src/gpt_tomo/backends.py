@@ -146,15 +146,10 @@ def purify(rho: StateVector, *, tol: float = DEFAULT_TOL) -> StateVector:
     sys = rho.system
     if sys.backend == CLASSICAL:
         raise ValueError("the classical backend admits no purification")
-    n = sys.total_dim
     vals, vecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(-vals, kind="stable")  # descending, ties keep eigh order
     vals, vecs = vals[order], _canonical_signs(vecs[:, order])
-    vals = np.clip(vals, 0.0, None)
-    psi = np.zeros(n * n, dtype=complex)
-    eye = np.eye(n)
-    for i in range(n):
-        psi += np.sqrt(vals[i]) * np.kron(vecs[:, i], eye[i])
+    psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)  # sum_i sqrt(l_i) v_i (x) e_i
     return state_from_vector(tensor_systems(sys, sys), psi, tol=tol)
 
 
@@ -164,13 +159,8 @@ def purify(rho: StateVector, *, tol: float = DEFAULT_TOL) -> StateVector:
 
 def _choi_matrix(p: ProcessRep) -> np.ndarray:
     """Choi-style matrix on B (x) A from the lifted action on sum_ij E_ij (x) E_ij."""
-    din = p.input.total_dim
-    omega = np.eye(din).reshape(-1)  # sum_i |i>|i>
-    choi = np.zeros((p.output.total_dim * din,) * 2, dtype=complex)
-    for k in p.kraus:
-        v = np.kron(k, np.eye(din)) @ omega
-        choi += np.outer(v, v.conj())
-    return choi
+    vecs = np.stack([k.reshape(-1) for k in p.kraus], axis=1)  # columns (K (x) I) sum_i |i>|i>
+    return vecs @ vecs.conj().T
 
 
 def process_coords(p: ProcessRep, *, tol: float = DEFAULT_TOL) -> np.ndarray:

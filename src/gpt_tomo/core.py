@@ -8,6 +8,14 @@ complex backend, real symmetric for the real one, the standard simplex basis
 for the classical one), so the pairing of an effect with a state is a plain
 dot product and the coordinate 2-norm equals the Hilbert-Schmidt norm.
 
+The matrix basis is the generalized Gell-Mann one with matrix units on the
+diagonal (Bertlmann & Krammer, J. Phys. A 41, 235303 (2008)): E_ii, then
+(E_ij + E_ji)/sqrt2 and, complex backend only, (-i E_ij + i E_ji)/sqrt2, over
+i < j in row-major order.  It is never built: a Hermitian H has coordinates
+[diag H, sqrt2 Re H_ij, -sqrt2 Im H_ij], read off by index.  A matrix M is
+representable when max|M - H| <= tol for its Hermitian part H (for the real
+backend, the real part of it).
+
 Processes carry an explicit representation (Kraus list or substochastic
 matrix) that lifts canonically to composites via ``K -> K (x) I``.  Keeping
 the representation around, instead of a single-system transfer matrix, is
@@ -29,6 +37,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -121,83 +130,70 @@ def subsystem(sys: SystemDescriptor, indices: Sequence[int]) -> SystemDescriptor
 
 
 # ---------------------------------------------------------------------------
-# Matrix bases and coordinate conversions
+# Coordinate conversions
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of n x n Hermitian matrices, shape (n*n, n, n).
-
-    Order: diagonal units E_ii, then (E_ij + E_ji)/sqrt(2) for i < j, then
-    (-i E_ij + i E_ji)/sqrt(2) for i < j.
-    """
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1.0j / np.sqrt(2.0)
-            m[j, i] = 1.0j / np.sqrt(2.0)
-            mats.append(m)
-    out = np.stack(mats)
-    out.flags.writeable = False
-    return out
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of n x n, row-major."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
-@lru_cache(maxsize=None)
-def symmetric_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of n x n real symmetric matrices, shape (n(n+1)/2, n, n)."""
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    out = np.stack(mats)
-    out.flags.writeable = False
-    return out
-
-
-def matrix_basis(sys: SystemDescriptor) -> np.ndarray:
+def _matrix_dim(sys: SystemDescriptor) -> int:
     if sys.backend == CLASSICAL:
         raise ValueError("classical systems have no matrix basis")
-    n = sys.total_dim
-    return hermitian_basis(n) if sys.backend == QUANTUM else symmetric_basis(n)
+    return sys.total_dim
 
 
 def coords_to_matrix(sys: SystemDescriptor, coords: np.ndarray) -> np.ndarray:
     """Reconstruct the density-operator-style matrix from basis coordinates."""
-    basis = matrix_basis(sys)
-    return np.tensordot(coords, basis, axes=(0, 0))
+    n = _matrix_dim(sys)
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (sys.state_dim,):
+        raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
+    rows, cols = _upper(n)
+    m = len(rows)
+    upper = coords[n : n + m]
+    if sys.backend == QUANTUM:
+        upper = upper - 1j * coords[n + m :]
+    upper = upper * _INV_SQRT2
+    mat = np.zeros((n, n), dtype=upper.dtype)
+    mat.flat[:: n + 1] = coords[:n]
+    mat[rows, cols] = upper
+    mat[cols, rows] = upper.conj()
+    return mat
 
 
 def matrix_to_coords(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Project a matrix onto the system's basis, checking it is representable.
 
-    For the real backend this rejects matrices with imaginary or antisymmetric
-    parts above ``tol``; that check is what catches processes that would leak
-    out of the real-symmetric state space.
+    The projection is the Hermitian part H, with each off-diagonal coordinate
+    summed from M_ij and M_ji term by term as a dense projection rounds it.
+    For the real backend the residue max|M - H| rejects imaginary or
+    antisymmetric parts above ``tol``; that check is what catches processes
+    that would leak out of the real-symmetric state space.
     """
-    basis = matrix_basis(sys)
-    coords = np.real(np.einsum("kab,ab->k", basis.conj(), mat))
-    residue = np.abs(np.tensordot(coords, basis, axes=(0, 0)) - mat).max()
+    n = _matrix_dim(sys)
+    mat = np.asarray(mat)
+    if mat.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix for {sys}, got shape {mat.shape}")
+    herm = (mat + mat.conj().T) / 2
+    if sys.backend != QUANTUM:
+        herm = herm.real
+    residue = np.abs(mat - herm).max()
     if residue > tol:
         raise ValueError(
             f"matrix is not representable on {sys}: residue {residue:.3e} exceeds {tol:.1e}"
         )
-    return coords
+    rows, cols = _upper(n)
+    re = mat.real
+    blocks = [re.diagonal(), re[rows, cols] * _INV_SQRT2 + re[cols, rows] * _INV_SQRT2]
+    if sys.backend == QUANTUM:
+        im = mat.imag
+        blocks.append(im[cols, rows] * _INV_SQRT2 - im[rows, cols] * _INV_SQRT2)
+    return np.concatenate(blocks) + 0.0  # -0.0 -> 0.0, as a sum over the whole basis gives
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:

@@ -113,6 +113,20 @@ def test_purify_rejects_classical(bit):
         bk.purify(bk.complete_state(bit))
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3])
+def test_purify_matches_kron_sum(backend, d):
+    """psi = sum_i sqrt(l_i) v_i (x) e_i, accumulated term by term as a reference."""
+    for seed in range(5):
+        rho = bk.random_state(system(backend, d), seed)
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        order = np.argsort(-vals, kind="stable")
+        vals, vecs = np.clip(vals[order], 0.0, None), bk._canonical_signs(vecs[:, order])
+        psi = sum(np.sqrt(vals[i]) * np.kron(vecs[:, i], np.eye(d)[i]) for i in range(d))
+        expected = c.state_from_vector(tensor_systems(rho.system, rho.system), psi)
+        np.testing.assert_array_equal(bk.purify(rho).coords, expected.coords)
+
+
 # ---------------------------------------------------------------------------
 # process-space bases and operational coordinates
 # ---------------------------------------------------------------------------
@@ -153,6 +167,18 @@ def test_lift_coordinates_are_linear_in_process_coordinates(backend, seed):
         al * bk.process_coords(c.lift(t, anc)) for al, t in zip(alpha, basis.processes)
     )
     assert np.abs(lifted - lifted_combo).max() < 1e-9
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("din,dout", [(2, 2), (2, 3), (3, 2)])
+def test_choi_matrix_matches_lifted_action(backend, din, dout):
+    """The Choi matrix against sum_k v_k v_k^dag with v_k = (K_k (x) I) sum_i |i>|i>."""
+    omega = np.eye(din).reshape(-1)
+    for seed in range(5):
+        p = bk.random_process(system(backend, din), system(backend, dout), seed)
+        vecs = [np.kron(k, np.eye(din)) @ omega for k in p.kraus]
+        expected = sum(np.outer(v, v.conj()) for v in vecs)
+        np.testing.assert_allclose(bk._choi_matrix(p), expected, rtol=0, atol=1e-14)
 
 
 def test_process_coords_separate_the_rebit_pair(rebit):

@@ -5,8 +5,7 @@ Each recorded case is one CLI invocation with its exit status and parsed
 ``--json`` report (null when nothing was printed).  Round-off-level residuals
 are held to the bound their check's pass rule applies at the default
 tolerance; every other field must match exactly.  All cases run in one child
-interpreter, so the large basis caches of the d = 3 and d = 4 cases are freed
-when it exits.
+interpreter.
 """
 
 import json

@@ -1,5 +1,7 @@
 """Core algebra: pairing, composition, lifting, coarse-graining, marginals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,122 @@ def test_trivial_system_is_unit(qubit):
 def test_mixed_backend_composition_rejected(qubit, bit):
     with pytest.raises(ValueError, match="mixed backends"):
         tensor_systems(qubit, bit)
+
+
+# ---------------------------------------------------------------------------
+# coordinate conversions: closed form against the dense basis
+# ---------------------------------------------------------------------------
+
+ORACLE_DIMS = (1, 2, 3, 4, 9, 16, 27)
+
+
+def _dense_basis(backend, n):
+    """The orthonormal basis as a dense (k, n, n) stack, in coordinate order."""
+    mats = []
+    for i in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, i] = 1.0
+        mats.append(m)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
+        mats.append(m)
+    if backend == QUANTUM:
+        for i, j in pairs:
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = -1.0j / np.sqrt(2.0)
+            m[j, i] = 1.0j / np.sqrt(2.0)
+            mats.append(m)
+    out = np.stack(mats)
+    return out if backend == QUANTUM else out.real
+
+
+def _random_matrix(backend, n, rng):
+    m = rng.normal(size=(n, n))
+    return m + 1j * rng.normal(size=(n, n)) if backend == QUANTUM else m
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_coordinates_match_dense_basis(backend, n):
+    sys = system(backend, n)
+    basis = _dense_basis(backend, n)
+    rng = np.random.default_rng(n)
+    assert basis.shape[0] == sys.state_dim
+    # matrix -> coords, on a general matrix: the orthogonal projection
+    mat = _random_matrix(backend, n, rng)
+    coords = c.matrix_to_coords(sys, mat, tol=np.inf)
+    expected = np.real(np.einsum("kab,ab->k", basis.conj(), mat))
+    assert coords.dtype == np.float64 and coords.shape == (sys.state_dim,)
+    np.testing.assert_allclose(coords, expected, rtol=0, atol=1e-13)
+    # coords -> matrix
+    x = rng.normal(size=sys.state_dim)
+    back = c.coords_to_matrix(sys, x)
+    assert back.dtype == (np.complex128 if backend == QUANTUM else np.float64)
+    np.testing.assert_allclose(back, np.tensordot(x, basis, axes=(0, 0)), rtol=0, atol=1e-13)
+    # and they invert each other on the representable matrices
+    np.testing.assert_allclose(c.matrix_to_coords(sys, back), x, rtol=0, atol=1e-13)
+    herm = (mat + mat.conj().T) / 2
+    round_trip = c.coords_to_matrix(sys, c.matrix_to_coords(sys, herm))
+    np.testing.assert_allclose(round_trip, herm, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("shape", [(2,), (4,), (2, 3), (3, 2), (3, 3), (1, 2, 2)])
+def test_matrix_of_wrong_shape_rejected(backend, shape):
+    with pytest.raises(ValueError, match=r"expected a 2 x 2 matrix"):
+        c.matrix_to_coords(system(backend, 2), np.zeros(shape))
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_coordinates_of_wrong_length_rejected(backend):
+    with pytest.raises(ValueError, match="expected .* coordinates"):
+        c.coords_to_matrix(system(backend, 2), np.zeros(5))
+
+
+def test_classical_system_has_no_matrix_coordinates(bit):
+    with pytest.raises(ValueError, match="no matrix basis"):
+        c.matrix_to_coords(bit, np.eye(2))
+    with pytest.raises(ValueError, match="no matrix basis"):
+        c.coords_to_matrix(bit, np.ones(2))
+
+
+E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+UNREPRESENTABLE = [
+    (REAL, 1j * (E01 - E01.T)),  # Hermitian, but imaginary
+    (REAL, E01 - E01.T),  # real, but antisymmetric
+    (QUANTUM, E01 - E01.T),  # anti-Hermitian
+    (QUANTUM, 1j * (E01 + E01.T)),  # anti-Hermitian
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("backend,part", UNREPRESENTABLE)
+def test_unrepresentable_part_checked_against_tol(backend, part, tol):
+    """The residue is max|M - H|, here exactly the size of the added part."""
+    sys = system(backend, 2)
+    base = np.array([[0.6, 0.1], [0.1, 0.4]])
+    expected = c.matrix_to_coords(sys, base)
+    below = c.matrix_to_coords(sys, base + 0.999 * tol * part, tol=tol)
+    np.testing.assert_allclose(below, expected, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="not representable"):
+        c.matrix_to_coords(sys, base + 1.001 * tol * part, tol=tol)
+
+
+def test_conversion_allocates_no_dense_basis():
+    """A dense basis at n = 64 would be 268 MB; the closed form needs O(n^2)."""
+    sys = system(QUANTUM, 64)
+    mat = _random_matrix(QUANTUM, 64, np.random.default_rng(0))
+    mat = (mat + mat.conj().T) / 2
+    tracemalloc.start()
+    try:
+        back = c.coords_to_matrix(sys, c.matrix_to_coords(sys, mat))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.abs(back - mat).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
