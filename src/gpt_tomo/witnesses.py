@@ -10,9 +10,12 @@ scalar p turns Phi into the universal extension of a complete state chi,
 with the generating transformation read off by contracting E against the
 target extension.  Independently, for the quantum family any purification is
 a universal extension with scalar 1: two purifications of the same state are
-connected by a reversible transformation on the purifying system, and
-discarding the surplus factors of the connection yields the deterministic
-generating channel.
+connected by a reversible transformation on the purifying system.  Gamma's
+eigendecomposition is itself a purification of Gamma, so the connection
+from Psi's purifying system R to E (x) F is an isometry (the reversible map
+with a pure reference fed in), and discarding F leaves the deterministic
+generating channel.  ``_unitary_connecting`` builds both the reversible
+connections and these isometries.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .core import (
     ProcessRep,
     StateVector,
     SystemDescriptor,
-    _contract_matrix,
     apply_to_factors,
     contract,
     deterministic_effect,
@@ -193,14 +195,11 @@ def _extension_from_teleportation(
         t_mat = (e_mat @ g_mat).T
         t_proc = stochastic_process(r_sys, env, t_mat, tol=np.sqrt(tol))
     else:
+        # choi[(e, i), (f, j)] = sum_ab effect[(j, b), (i, a)] gamma[(a, e), (b, f)]
         n_r, n_e = r_sys.total_dim, env.total_dim
-        e_big, g_big = effect.matrix, gamma.matrix  # each .matrix is a fresh conversion
-        choi = np.zeros((n_e * n_r, n_e * n_r), dtype=complex)
-        eye = np.eye(n_r)
-        for i, j in np.ndindex(n_r, n_r):
-            unit = np.outer(eye[i], eye[j])
-            image = _contract_matrix(np.kron(unit, g_big), [n_r, d, n_e], e_big, [0, 1])
-            choi += np.kron(image, unit)
+        e4 = effect.matrix.reshape(n_r, d, n_r, d)
+        g4 = gamma.matrix.reshape(d, n_e, d, n_e)
+        choi = np.einsum("jbia,aebf->eifj", e4, g4).reshape(n_e * n_r, n_e * n_r)
         t_proc = _kraus_from_choi(r_sys, env, choi, tol=tol)
     return p, t_proc
 
@@ -253,7 +252,7 @@ def universal_extension_check(
         raise UsageError(f"universal extension needs at least one sample, got {samples}")
     a = system(backend, d)
     omega = bk.complete_state(a)
-    phi, effect, p_tele = teleportation_witness(a)
+    phi, effect, p_tele = _teleportation_pair(a)
     makers = {"teleportation": lambda g: _extension_from_teleportation(phi, effect, g, tol=tol)}
     if a.backend != CLASSICAL:
         makers["purification"] = lambda g: (1.0, _channel_from_purification(phi, g, tol=tol))
@@ -299,38 +298,42 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
 
 
 def _unitary_connecting(w1: np.ndarray, w2: np.ndarray, *, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary X on the column space with W1 X = W2, given W1 W1^dag = W2 W2^dag.
+    """X with W1 X = W2 and X X^dag = I, given W1 W1^dag = W2 W2^dag.
 
-    Rows of the reduced pieces are completed with orthonormal bases of the
-    respective kernels, keeping the result real whenever the inputs are real.
+    With square W1 and W2, X is the unitary connecting two purifications.
+    When W2 has more columns, X^T is an isometry into the larger purifying
+    system: on the row space of W1 it is W1^+ W2, and the kernel rows are
+    completed with orthonormal rows orthogonal to that image.  The rank of
+    W1 is decided on the eigenvalue scale of W1 W1^dag (s^2 > tol s_max^2),
+    so round-off singular values of a rank-deficient purification are not
+    inverted.  The result is real whenever the inputs are real.
     """
     if np.abs(w1 @ w1.conj().T - w2 @ w2.conj().T).max() > np.sqrt(tol):
         raise ValueError("no connecting symmetry: the marginals differ")
     real = bool(np.isrealobj(w1) and np.isrealobj(w2))
     p1, s1, q1h = np.linalg.svd(w1, full_matrices=False)
-    r = int(np.sum(s1 > tol * max(s1[0], 1.0))) if s1.size else 0
+    r = int(np.sum(s1**2 > tol * max(s1[0], 1.0) ** 2)) if s1.size else 0
     p1, s1, q1h = p1[:, :r], s1[:r], q1h[:r, :]
     y = (np.diag(1.0 / s1) @ p1.conj().T @ w2) if r else np.zeros((0, w2.shape[1]))
     q1 = q1h.conj().T
     q1c = _null_space(q1.conj().T)
-    yc = _null_space(y).conj().T
     x = q1 @ y
     if q1c.shape[1]:
-        x = x + q1c @ yc
+        x = x + q1c @ _null_space(y).conj().T[: q1c.shape[1]]
     if real:
         x = x.real
     return x
 
 
 def connect_purifications(
-    psi: StateVector, psi2: StateVector, *, split: int | None = None, tol: float = DEFAULT_TOL
+    psi: StateVector, psi2: StateVector, *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
     """Reversible U on the purifying system with (I (x) U) psi == psi2.
 
-    Both states must be pure with the same marginal on the first ``split``
-    factors (default: half the factors).  Raises when the marginals differ.
+    Both states must be pure with the same marginal on the first half of the
+    factors.  Raises when the marginals differ.
     """
-    u_proc = _connecting_process(psi, psi2, split=split, tol=tol)
+    u_proc = _connecting_process(psi, psi2, tol=tol)
     if not u_proc.reversible:
         raise AssertionError("connecting transformation is not reversible")
     if _residual(u_proc, psi, psi2, tol=np.sqrt(tol)) > np.sqrt(tol):
@@ -338,13 +341,11 @@ def connect_purifications(
     return u_proc
 
 
-def _connecting_process(
-    psi: StateVector, psi2: StateVector, *, split: int | None = None, tol: float
-) -> ProcessRep:
+def _connecting_process(psi: StateVector, psi2: StateVector, *, tol: float) -> ProcessRep:
     if psi.system != psi2.system:
         raise ValueError("purifications must live on the same composite")
     sys = psi.system
-    k = sys.n_factors // 2 if split is None else split
+    k = sys.n_factors // 2
     n_a = prod(sys.dims[:k])
     n_r = prod(sys.dims[k:])
     w1 = _pure_vector(psi, tol=tol).reshape(n_a, n_r)
@@ -394,62 +395,39 @@ def purification_check(
 
 
 def channel_from_purification(
-    psi: StateVector,
-    gamma: StateVector,
-    *,
-    split: int | None = None,
-    tol: float = DEFAULT_TOL,
+    psi: StateVector, gamma: StateVector, *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
     """Deterministic T: R -> E with (I (x) T) Psi == Gamma, via the symmetry of purifications.
 
-    Purify Gamma with a fresh system F, so that both Gamma's purification
-    (padded with a pure reference on R) and Psi (padded with a pure reference
-    on E (x) F) purify the same marginal with purifying system R (x) E (x) F.
-    The connecting reversible transformation, with the reference fed in and
-    the F and R outputs discarded, is the generating channel.
+    Psi purifies its marginal on the first half of the factors (A) with R.
+    Gamma's eigendecomposition gives a purification of Gamma with F a full
+    copy of A (x) E; it and Psi purify the same marginal on A, so an isometry
+    V: R -> E (x) F connects them (the reversible connection with a pure
+    reference fed in).  Discarding F leaves the generating channel, one Kraus
+    operator per F basis vector.
     """
-    t_proc = _channel_from_purification(psi, gamma, split=split, tol=tol)
+    t_proc = _channel_from_purification(psi, gamma, tol=tol)
     if not verify_universal_extension(psi, gamma, 1.0, t_proc, tol=np.sqrt(tol)):
         raise AssertionError("purification-based channel failed verification")
     return t_proc
 
 
-def _channel_from_purification(
-    psi: StateVector, gamma: StateVector, *, split: int | None = None, tol: float
-) -> ProcessRep:
-    sys_a_len = psi.system.n_factors // 2 if split is None else split
-    a = subsystem(psi.system, range(sys_a_len))
-    r_sys = subsystem(psi.system, range(sys_a_len, psi.system.n_factors))
+def _channel_from_purification(psi: StateVector, gamma: StateVector, *, tol: float) -> ProcessRep:
+    a = subsystem(psi.system, range(psi.system.n_factors // 2))
+    r_sys = subsystem(psi.system, range(a.n_factors, psi.system.n_factors))
     if gamma.system.dims[: a.n_factors] != a.dims:
         raise ValueError(f"extension on {gamma.system} does not extend the {a} block")
     env = SystemDescriptor(a.backend, gamma.system.dims[a.n_factors :])
     if a.backend == CLASSICAL:
         raise ValueError("the classical backend admits no purification")
 
-    phi_g = bk.purify(gamma, tol=tol)  # on (A, E, F) with F a copy of A (x) E
-    f_sys = SystemDescriptor(a.backend, phi_g.system.dims[gamma.system.n_factors :])
-
-    n_a, n_r, n_e, n_f = (s.total_dim for s in (a, r_sys, env, f_sys))
-    v_psi = _pure_vector(psi, tol=tol)
-    v_gam = _pure_vector(phi_g, tol=tol)
-
-    # reference vectors: |0> on E (x) F beside psi, |0> on R beside gamma's purification
-    ref_ef = np.zeros(n_e * n_f)
-    ref_ef[0] = 1.0
-    ref_r = np.zeros(n_r)
-    ref_r[0] = 1.0
-    v1 = np.kron(v_psi, ref_ef)  # ordering (A, R, E, F)
-    v2 = np.kron(v_gam, ref_r)  # ordering (A, E, F, R)
-    v2 = v2.reshape(n_a, n_e * n_f, n_r).transpose(0, 2, 1).reshape(-1)  # -> (A, R, E, F)
-
-    w1 = v1.reshape(n_a, n_r * n_e * n_f)
-    w2 = v2.reshape(n_a, n_r * n_e * n_f)
-    u = _unitary_connecting(w1, w2, tol=tol).T  # (I (x) U) v1 = v2 on R (x) E (x) F
-
-    # T(r) = Tr_{R,F}[ U (r (x) |0><0|_EF) U^dag ], Kraus indexed by the traced outputs
-    u_cols = u.reshape(n_r * n_e * n_f, n_r, n_e * n_f)[:, :, 0]  # feed the EF reference
-    blocks = u_cols.reshape(n_r, n_e, n_f, n_r)
-    ops = [blocks[r_out, :, f_out, :] for r_out in range(n_r) for f_out in range(n_f)]
+    n_a, n_r, n_e = a.total_dim, r_sys.total_dim, env.total_dim
+    vals, vecs = np.linalg.eigh(gamma.matrix)
+    w2 = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(n_a, -1)  # indices (A, E (x) F)
+    w1 = _pure_vector(psi, tol=tol).reshape(n_a, n_r)
+    v = _unitary_connecting(w1, w2, tol=tol).T  # isometry R -> E (x) F
+    blocks = v.reshape(n_e, n_a * n_e, n_r)  # one Kraus operator per F basis vector
+    ops = [blocks[:, f, :] for f in range(n_a * n_e)]
     t_proc = kraus_process(r_sys, env, ops, tol=np.sqrt(tol))
     if not t_proc.deterministic:
         raise AssertionError("purification-based channel came out non-deterministic")

@@ -1,5 +1,7 @@
 """Teleportation, universal-extension, purification and faithfulness witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,36 @@ def test_extension_witness_rebit(rebit):
         assert wt.verify_universal_extension(phi, gamma, p, t_proc, tol=1e-9)
 
 
+def _choi_by_kron_loop(effect, gamma, d):
+    """Reference: the teleportation Choi matrix from one kron per matrix unit on R (E = R = A)."""
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    eye = np.eye(d)
+    for i, j in np.ndindex(d, d):
+        unit = np.outer(eye[i], eye[j])
+        image = c._contract_matrix(np.kron(unit, gamma.matrix), [d, d, d], effect.matrix, [0, 1])
+        choi += np.kron(image, unit)
+    return choi
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_teleportation_choi_matches_kron_loop_bit_for_bit(monkeypatch, backend, d):
+    a = system(backend, d)
+    phi, effect, _ = wt.teleportation_witness(a)
+    seen = []
+    kraus_from_choi = wt._kraus_from_choi
+
+    def capture(inp, out, choi, **kw):
+        seen.append(choi)
+        return kraus_from_choi(inp, out, choi, **kw)
+
+    monkeypatch.setattr(wt, "_kraus_from_choi", capture)
+    for seed in range(3):
+        gamma = bk.random_extension(bk.complete_state(a), a, seed)
+        wt._extension_from_teleportation(phi, effect, gamma, tol=1e-9)
+        assert np.array_equal(seen[-1], _choi_by_kron_loop(effect, gamma, d))
+
+
 def test_verify_universal_extension_trivial_and_wrong_scalar(qubit):
     phi = tm.find_faithful_state(qubit)
     ident = c.identity_process(qubit)
@@ -293,6 +325,98 @@ def test_channel_from_purification_output_stays_deterministic(qubit):
         assert c.apply(t_proc, rho).kind == "deterministic"
 
 
+def _channel_by_d4_unitary(psi, gamma, tol=1e-9):
+    """Reference: the generating channel from the reversible U on R (x) E (x) F.
+
+    Purify Gamma with F a copy of A (x) E, pad Psi with |0> on E (x) F and
+    Gamma's purification with |0> on R, connect the two on R (x) E (x) F, feed
+    the EF reference and keep one Kraus operator per traced (R, F) output.
+    """
+    a = c.subsystem(psi.system, [0])
+    r_sys = c.subsystem(psi.system, [1])
+    env = c.subsystem(gamma.system, [1])
+    phi_g = bk.purify(gamma, tol=tol)
+    n_a, n_r, n_e = a.total_dim, r_sys.total_dim, env.total_dim
+    n_f = n_a * n_e
+    ref_ef = np.zeros(n_e * n_f)
+    ref_ef[0] = 1.0
+    ref_r = np.zeros(n_r)
+    ref_r[0] = 1.0
+    v1 = np.kron(wt._pure_vector(psi, tol=tol), ref_ef)
+    v2 = np.kron(wt._pure_vector(phi_g, tol=tol), ref_r)
+    v2 = v2.reshape(n_a, n_e * n_f, n_r).transpose(0, 2, 1).reshape(-1)
+    u = wt._unitary_connecting(v1.reshape(n_a, -1), v2.reshape(n_a, -1), tol=tol).T
+    assert u.shape == (n_r * n_e * n_f,) * 2
+    blocks = u.reshape(n_r * n_e * n_f, n_r, n_e * n_f)[:, :, 0].reshape(n_r, n_e, n_f, n_r)
+    ops = [blocks[r, :, f, :] for r in range(n_r) for f in range(n_f)]
+    return c.kraus_process(r_sys, env, ops, tol=np.sqrt(tol))
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_channel_from_purification_matches_d4_unitary(backend, d):
+    a = system(backend, d)
+    for seed in range(3):
+        rho = bk.random_state(a, seed)
+        for psi, gamma in [
+            (bk.maximally_entangled_state(a), bk.random_extension(bk.complete_state(a), a, seed)),
+            (bk.purify(rho), bk.random_extension(rho, a, seed)),
+        ]:
+            t_proc = wt._channel_from_purification(psi, gamma, tol=1e-9)
+            expected = _channel_by_d4_unitary(psi, gamma)
+            assert np.abs(bk.process_coords(t_proc) - bk.process_coords(expected)).max() <= 1e-12
+
+
+def test_channel_from_purification_builds_no_d4_array(monkeypatch):
+    # quantum d = 6: Gamma's purification alone has d^4 = 1296 entries and the
+    # reversible connection on R (x) E (x) F is 1296 x 1296 (27 MB)
+    a = system(QUANTUM, 6)
+    phi = bk.maximally_entangled_state(a)
+    gamma = bk.random_extension(bk.complete_state(a), a, 0)
+
+    def no_purify(*args, **kwargs):
+        raise AssertionError("the generating channel purified Gamma")
+
+    monkeypatch.setattr(bk, "purify", no_purify)
+    tracemalloc.start()
+    try:
+        t_proc = wt._channel_from_purification(phi, gamma, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t_proc.deterministic
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_purifications_of_rank_deficient_states(backend, d):
+    # round-off eigenvalues of rho become singular values of order 1e-8 in its
+    # purification; the connecting routine must not invert them
+    a = system(backend, d)
+    for seed in range(10):
+        rho = bk.random_rank_deficient_state(a, seed)
+        psi = bk.purify(rho)
+        gamma = bk.random_extension(rho, a, seed)
+        t_proc = wt.channel_from_purification(psi, gamma)
+        assert t_proc.deterministic
+        if backend == REAL:
+            assert all(np.abs(k.imag).max() == 0.0 for k in t_proc.kraus)
+        moved = c.apply_to_factors(t_proc, psi, 1)
+        assert np.abs(moved.coords - gamma.coords).max() < 1e-6
+
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d, d))
+        if backend == QUANTUM:
+            g = g + 1j * rng.normal(size=(d, d))
+        q, _ = np.linalg.qr(g)
+        psi2 = c.apply_to_factors(c.kraus_process(a, a, [q]), psi, 1)
+        u = wt.connect_purifications(psi, psi2)
+        assert u.reversible
+        moved = c.apply_to_factors(u, psi, 1)
+        assert np.abs(moved.coords - psi2.coords).max() < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # preparational faithfulness
 # ---------------------------------------------------------------------------
@@ -404,3 +528,19 @@ def test_teleportation_restricted_to_complete_state_face(qubit):
 def test_universal_extension_check_refuses_zero_samples():
     with pytest.raises(UsageError, match="at least one sample"):
         wt.universal_extension_check(QUANTUM, 2, samples=0)
+
+
+def test_universal_extension_check_runs_no_bent_wire_map(monkeypatch):
+    # the teleportation pair is checked by the report's own residual of
+    # (I (x) T) Phi = p Gamma, not by a second self-check of the pair
+    calls = []
+    teleport_map = wt.teleport_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return teleport_map(*args, **kwargs)
+
+    monkeypatch.setattr(wt, "teleport_map", counted)
+    rep = wt.universal_extension_check(QUANTUM, 3, samples=1)
+    assert rep.passed
+    assert calls == []
