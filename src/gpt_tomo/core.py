@@ -341,7 +341,9 @@ class ProcessRep:
     matrix.  For the real backend every Kraus operator must be entrywise real
     or entrywise purely imaginary: that class is closed under lifting and
     contains both counterexample processes, though it is documented as a
-    sufficient class rather than a characterization.
+    sufficient class rather than a characterization.  ``compose`` returns a
+    minimal Kraus form, at most d_in*d_out operators read off the Choi
+    eigendecomposition, so the ``kraus[N]`` in a composite's repr is that count.
     """
 
     input: SystemDescriptor
@@ -474,7 +476,13 @@ def apply(p: ProcessRep, s: StateVector, *, tol: float = DEFAULT_TOL) -> StateVe
 
 
 def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) -> ProcessRep:
-    """Sequential composition: ``compose(after, before)`` runs ``before`` first."""
+    """Sequential composition: ``compose(after, before)`` runs ``before`` first.
+
+    Kraus lists come back in minimal form: a product list longer than
+    d_in*d_out is replaced by the eigendecomposition of its Choi matrix, so
+    deep chains keep at most d_in*d_out operators.  Shorter lists are kept
+    as formed.
+    """
     if before.output != after.input:
         raise ValueError(
             f"cannot compose: first process outputs {before.output}, second expects {after.input}"
@@ -482,7 +490,29 @@ def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) 
     if before.stoch is not None:
         return stochastic_process(before.input, after.output, after.stoch @ before.stoch, tol=tol)
     ops = [k2 @ k1 for k2 in after.kraus for k1 in before.kraus]
+    if len(ops) > before.input.total_dim * after.output.total_dim:
+        ops = _minimal_kraus(ops, before.backend)
     return kraus_process(before.input, after.output, ops, tol=tol)
+
+
+def _minimal_kraus(ops: Sequence[np.ndarray], backend: str) -> list[np.ndarray]:
+    """A Kraus list of at most d_in*d_out operators with the same Choi matrix.
+
+    The Choi matrix sum_k vec(K) vec(K)^dag is Hermitian positive
+    semidefinite; each eigenpair (lambda, u) with lambda > 0 gives the
+    operator sqrt(lambda) u (Choi, LAA 10, 285 (1975)).  On the real backend
+    the Choi matrix of real or purely imaginary operators is real, and taking
+    its real part keeps complex ``eigh`` from handing back real eigenvectors
+    with arbitrary phases.  A zero process keeps one zero operator.
+    """
+    dout, din = ops[0].shape
+    vecs = np.stack([k.reshape(-1) for k in ops], axis=1)
+    choi = vecs @ vecs.conj().T
+    if backend == REAL:
+        choi = choi.real
+    vals, us = np.linalg.eigh(choi)
+    kept = [np.sqrt(v) * us[:, i].reshape(dout, din) for i, v in enumerate(vals) if v > 0]
+    return kept or [np.zeros((dout, din))]
 
 
 def tensor_processes(p: ProcessRep, q: ProcessRep, *, tol: float = DEFAULT_TOL) -> ProcessRep:
@@ -709,6 +739,8 @@ def preparation_test(
     """A source: an outcome-labelled family of subnormalized preparations."""
     if labels is None:
         labels = list(range(len(states)))
+    if len(labels) != len(states):
+        raise ValueError(f"got {len(states)} states but {len(labels)} labels")
     branches = tuple((lab, preparation_process(s)) for lab, s in zip(labels, states))
     return Test(branches)
 
@@ -766,6 +798,8 @@ def mixture(
     states: Sequence[StateVector], probs: Sequence[float], *, tol: float = DEFAULT_TOL
 ) -> StateVector:
     """The coarse-graining of the randomized preparation: sum p_i state_i."""
+    if len(states) != len(probs):
+        raise ValueError(f"got {len(states)} states but {len(probs)} probabilities")
     check_prob_vector(probs, tol=tol)
     first = states[0]
     if any(s.system != first.system for s in states):

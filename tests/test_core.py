@@ -350,6 +350,103 @@ def test_compose_types_checked(qubit, qutrit):
         c.compose(p, q)
 
 
+# ---------------------------------------------------------------------------
+# minimal Kraus form under composition, against the product list
+# ---------------------------------------------------------------------------
+
+def _product_compose(after, before):
+    """Sequential composition as the full product Kraus list, uncompressed."""
+    ops = [k2 @ k1 for k2 in after.kraus for k1 in before.kraus]
+    return c.kraus_process(before.input, after.output, ops)
+
+
+def _choi(proc):
+    vecs = np.stack([k.reshape(-1) for k in proc.kraus], axis=1)
+    return vecs @ vecs.conj().T
+
+
+def _random_channel(rng, a, b, n_ops):
+    """At least ``n_ops`` Kraus operators sliced from a random isometry; on the
+    real backend each is entrywise real or, at random, entrywise purely imaginary."""
+    real = a.backend == REAL
+    n_ops = max(n_ops, -(-a.total_dim // b.total_dim))  # an isometry needs b * n_ops >= a
+    shape = (b.total_dim * n_ops, a.total_dim)
+    g = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    q = np.linalg.qr(g)[0]
+    ops = np.split(q, n_ops)
+    if real:
+        ops = [k * (1j if rng.random() < 0.5 else 1.0) for k in ops]
+    return c.kraus_process(a, b, ops)
+
+
+def _assert_same_process(proc, oracle, rng):
+    assert np.abs(_choi(proc) - _choi(oracle)).max() < 1e-12
+    anc = system(proc.backend, 2)
+    s = bk.random_state(tensor_systems(proc.input, anc), rng)
+    lhs = c.apply(c.lift(proc, anc), s)
+    rhs = c.apply(c.lift(oracle, anc), s)
+    assert np.abs(lhs.coords - rhs.coords).max() < 1e-12
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("seed", range(12))
+def test_compose_matches_product_list(backend, seed):
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 9))
+    wires = [system(backend, int(d)) for d in rng.choice([1, 2, 3], size=depth + 1)]
+    chans = [_random_channel(rng, a, b, int(rng.integers(1, 5))) for a, b in zip(wires, wires[1:])]
+    proc = oracle = chans[0]
+    for chan in chans[1:]:
+        formed = len(chan.kraus) * len(proc.kraus)
+        proc, oracle = c.compose(chan, proc), _product_compose(chan, oracle)
+        bound = proc.input.total_dim * proc.output.total_dim
+        if formed <= bound:
+            assert len(proc.kraus) == formed
+        else:
+            assert len(proc.kraus) <= bound
+            if backend == REAL:
+                assert all(not k.imag.any() for k in proc.kraus)
+        _assert_same_process(proc, oracle, rng)
+    assert proc.deterministic
+
+
+def test_compose_rebit_y_chain_stays_real(rebit):
+    # Y is purely imaginary; the compressed operators come back entrywise real
+    half_y = c.kraus_process(rebit, rebit, [I2 / np.sqrt(2.0), PAULI_Y / np.sqrt(2.0)])
+    rng = np.random.default_rng(3)
+    proc = oracle = half_y
+    for step in range(6):
+        chan = half_y if step % 2 else _random_channel(rng, rebit, rebit, 2)
+        proc, oracle = c.compose(chan, proc), _product_compose(chan, oracle)
+        _assert_same_process(proc, oracle, rng)
+    assert len(oracle.kraus) == 128 and len(proc.kraus) <= 4
+    assert all(not k.imag.any() for k in proc.kraus)
+
+
+def test_compose_of_zero_processes_keeps_one_zero_operator(qubit):
+    zero = c.kraus_process(qubit, qubit, [np.zeros((2, 2))] * 3)
+    out = c.compose(zero, zero)
+    assert len(out.kraus) == 1
+    assert not out.kraus[0].any()
+    assert not out.deterministic
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_compose_within_bound_is_the_product_list(backend):
+    rng = np.random.default_rng(7)
+    a, b = system(backend, 2), system(backend, 3)
+    for after, before in [
+        (_random_channel(rng, a, a, 2), _random_channel(rng, a, a, 2)),
+        (_random_channel(rng, b, a, 2), _random_channel(rng, a, b, 2)),
+        (_random_channel(rng, a, b, 1), _random_channel(rng, a, a, 1)),
+        (_random_channel(rng, a, b, 3), _random_channel(rng, a, a, 2)),
+    ]:
+        out = c.compose(after, before)
+        expected = _product_compose(after, before)
+        assert len(out.kraus) == len(expected.kraus)
+        assert all(np.array_equal(k, e) for k, e in zip(out.kraus, expected.kraus))
+
+
 def test_apply_to_factors_middle():
     three = system(QUANTUM, 2, 2, 2)
     rho = bk.random_state(three, 1)
@@ -457,6 +554,15 @@ def test_randomize_length_mismatch(qubit):
     t = _bell_measurement(qubit)
     with pytest.raises(ValueError, match="probabilities"):
         c.randomize([t], [0.5, 0.5])
+
+
+def test_mixture_and_preparation_test_length_mismatch(qubit):
+    s0 = c.state_from_matrix(qubit, np.diag([1.0, 0.0]))
+    s1 = c.state_from_matrix(qubit, np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="got 2 states but 1 probabilities"):
+        c.mixture([s0, s1], [1.0])
+    with pytest.raises(ValueError, match="got 2 states but 1 labels"):
+        c.preparation_test([s0, s1], ["a"])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

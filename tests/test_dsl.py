@@ -1,5 +1,6 @@
 """Parser, typechecker and evaluator for the circuit language."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,47 @@ def test_complex_entries_parse():
     """
     r = dsl.run_program(text)
     assert r.payload == pytest.approx(1.0, abs=1e-12)
+
+
+def _literal(ops):
+    """A ``kraus[...]`` literal with every entry written as ``[re, im]``."""
+    def entry(z):
+        return f"[{float(z.real)!r}, {float(z.imag)!r}]"
+    return "kraus[" + ", ".join(
+        "[" + ", ".join("[" + ", ".join(entry(z) for z in row) + "]" for row in k) + "]"
+        for k in ops
+    ) + "]"
+
+
+def test_deep_chain_keeps_minimal_kraus_lists(monkeypatch):
+    # a depth-12 qubit chain: the product lists would reach 2^13 = 8192 operators
+    rng = np.random.default_rng(12)
+    ket = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    ket /= np.linalg.norm(ket)
+    cols = [ket[:, [0]], ket[:, [1]]]
+    rho = sum(col @ col.conj().T for col in cols)
+    lines = ["system A quantum 2;", f"state rho on A = {_literal(cols)};"]
+    for i in range(12):
+        q = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+        ops = [q[:2], q[2:]]
+        lines.append(f"proc c{i} on A -> A = {_literal(ops)};")
+        rho = sum(k @ rho @ k.conj().T for k in ops)
+    lines.append("run " + " . ".join(f"c{i}" for i in reversed(range(12))) + " . rho")
+
+    largest = [0]
+    kraus_process = c.kraus_process
+
+    def counting(inp, out, kraus, **kw):
+        kraus = list(kraus)
+        if sys._getframe(1).f_code is c.compose.__code__:
+            largest[0] = max(largest[0], len(kraus))
+        return kraus_process(inp, out, kraus, **kw)
+
+    monkeypatch.setattr(c, "kraus_process", counting)
+    result = dsl.run_program("\n".join(lines))
+    assert 0 < largest[0] <= 4
+    assert result.kind == "state"
+    assert np.abs(result.payload.matrix - rho).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

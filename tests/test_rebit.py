@@ -116,3 +116,21 @@ def test_faithful_state_separates_the_pair():
     out1 = c.apply(c.lift(p, REBIT), bell)
     out2 = c.apply(c.lift(p2, REBIT), bell)
     assert trace_distance(out1, out2) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_compressed_idempotent_composition_keeps_the_pair_apart():
+    # p o p o p = p for both channels; the 8-operator product list compresses
+    bell = bk.maximally_entangled_state(REBIT)
+    coords, outs = [], []
+    for p in rebit_processes():
+        ppp = c.compose(p, c.compose(p, p))
+        assert len(ppp.kraus) <= 4
+        assert all(not k.imag.any() for k in ppp.kraus)
+        coords.append(bk.process_coords(ppp))
+        assert np.abs(coords[-1] - bk.process_coords(p)).max() < 1e-12
+        outs.append(c.apply(c.lift(ppp, REBIT), bell))
+    assert np.abs(coords[0] - coords[1]).max() > 0.1
+    for out, target in zip(outs, wootters_pair()):
+        assert np.abs(out.coords - target.coords).max() < 1e-12
+    assert trace_distance(*outs) == pytest.approx(1.0, abs=1e-9)
+
