@@ -13,8 +13,10 @@ Choi-style object: the lifted action on the unnormalized maximally correlated
 state ``sum_ij E_ij (x) E_ij``.  For the complex backend that object ranges
 over all Hermitian matrices on B (x) A, giving span dimension (d_A d_B)^2; for
 the real backend over real symmetric matrices; for the classical backend the
-process matrix itself is the coordinate.  The real-backend span dimension is
-computed numerically from a polarization family rather than asserted.
+process matrix itself is the coordinate.  In every backend the polarization
+family's coordinate matrix is square and lower triangular with a nonzero
+diagonal, so it spans the whole coordinate space; the builder asserts that
+structure instead of taking a numerical rank.
 """
 
 from __future__ import annotations
@@ -178,46 +180,34 @@ def process_coords(p: ProcessRep, *, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessSpaceBasis:
-    """A spanning family for the real span of processes of one type.
+    """A basis of the real span of processes of one type.
 
     ``processes`` are physical (single-Kraus or matrix-unit) processes whose
-    operational coordinates (rows of ``elements``) are linearly independent
-    and span the full operational span; ``dim`` is the numerically computed
-    rank of ``elements``.
+    operational coordinates are the rows of ``elements``: a square, lower
+    triangular matrix with a nonzero diagonal, so the rows are linearly
+    independent and span the whole operational coordinate space.
     """
 
     input: SystemDescriptor
     output: SystemDescriptor
     processes: tuple[ProcessRep, ...]
     elements: np.ndarray
-    dim: int
 
-
-def process_space_basis(
-    a: SystemDescriptor,
-    b: SystemDescriptor,
-    *,
-    seed: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> ProcessSpaceBasis:
-    """Spanning set of the operational span of processes A -> B.
-
-    Classical: matrix units (dimension d_A d_B).  Quantum family: single-Kraus
-    processes over a polarization family of operators, so the span dimension
-    is read off the rank of the coordinate matrix rather than assumed.  When a
-    ``seed`` is given, a few random physical processes are appended and the
-    rank is re-checked; a rank increase would mean the family fails to span.
-    """
-    basis = _process_space_basis_cached(a, b)
-    if seed is not None:
-        extra = [process_coords(random_process(a, b, s)) for s in _spawn_seeds(seed, 5)]
-        if matrix_rank(np.vstack([basis.elements, np.stack(extra)])) != basis.dim:
-            raise ValueError("random physical process escaped the computed span")
-    return basis
+    @property
+    def dim(self) -> int:
+        return len(self.processes)
 
 
 @lru_cache(maxsize=None)
-def _process_space_basis_cached(a: SystemDescriptor, b: SystemDescriptor) -> ProcessSpaceBasis:
+def process_space_basis(a: SystemDescriptor, b: SystemDescriptor) -> ProcessSpaceBasis:
+    """Basis of the operational span of processes A -> B.
+
+    Classical: matrix units (dimension d_A d_B).  Quantum family: single-Kraus
+    processes over a polarization family of operators.  In the Gell-Mann
+    coordinate order the family's coordinate matrix is lower triangular with
+    diagonal entries 1 and 1/sqrt2, so full rank is checked structurally in
+    O(N^2) rather than by an SVD.
+    """
     if a.backend != b.backend:
         raise ValueError("process space needs matching backends")
     if a.backend == CLASSICAL:
@@ -247,10 +237,10 @@ def _process_space_basis_cached(a: SystemDescriptor, b: SystemDescriptor) -> Pro
         procs = [kraus_process(a, b, [k]) for k in kops]
     elements = np.stack([process_coords(p) for p in procs])
     elements.flags.writeable = False
-    dim = matrix_rank(elements)
-    if dim != len(procs):
+    square = elements.shape[0] == elements.shape[1]
+    if not square or np.triu(elements, 1).any() or not elements.diagonal().all():
         raise ValueError("process basis construction produced dependent elements")
-    return ProcessSpaceBasis(a, b, tuple(procs), elements, dim)
+    return ProcessSpaceBasis(a, b, tuple(procs), elements)
 
 
 def matrix_rank(mat: np.ndarray, *, rel_tol: float = 1e-9) -> int:
@@ -261,11 +251,6 @@ def matrix_rank(mat: np.ndarray, *, rel_tol: float = 1e-9) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
-
-
-def _spawn_seeds(seed: int, n: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(x) for x in rng.integers(0, 2**31, size=n)]
 
 
 # ---------------------------------------------------------------------------

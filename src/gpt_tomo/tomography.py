@@ -248,9 +248,13 @@ def is_dynamically_faithful(
 def faithful_state_check(
     backend: str, din: int, dout: int, *, tol: float = DEFAULT_TOL, seed: int = 0
 ) -> CheckReport:
-    """Lifting rank of ``find_faithful_state`` against the processes din -> dout (basis seeded)."""
+    """Lifting rank of ``find_faithful_state`` against the processes din -> dout.
+
+    The lifting-matrix SVD is the only rank decision; ``seed`` is only echoed
+    into the report.
+    """
     a, b = system(backend, din), system(backend, dout)
-    basis = bk.process_space_basis(a, b, seed=seed)
+    basis = bk.process_space_basis(a, b)
     phi = find_faithful_state(a)
     rank = bk.matrix_rank(lifting_matrix(phi, a, basis))
     details = {

@@ -115,10 +115,12 @@ def test_criterion_6_dynamical_faithfulness_ranks():
     real_dims = []
     for d in (2, 3):
         a = system(REAL, d)
-        dims_across_seeds = {bk.process_space_basis(a, a, seed=s).dim for s in range(5)}
-        ok &= len(dims_across_seeds) == 1
-        span_dim = dims_across_seeds.pop()
-        rank = bk.matrix_rank(tm.lifting_matrix(tm.find_faithful_state(a), a, bk.process_space_basis(a, a)))
+        basis = bk.process_space_basis(a, a)
+        span_dim = basis.dim
+        for s in range(5):  # no random process escapes the span
+            extra = bk.process_coords(bk.random_process(a, a, s))
+            ok &= bk.matrix_rank(np.vstack([basis.elements, extra])) == span_dim
+        rank = bk.matrix_rank(tm.lifting_matrix(tm.find_faithful_state(a), a, basis))
         ok &= rank == span_dim
         real_dims.append(span_dim)
     criterion(

@@ -138,8 +138,24 @@ def test_process_space_dimensions(qubit, rebit, bit):
 
 
 def test_rebit_process_span_stable_across_seeds(rebit):
-    dims = {bk.process_space_basis(rebit, rebit, seed=s).dim for s in range(5)}
-    assert dims == {10}
+    basis = bk.process_space_basis(rebit, rebit)
+    for s in range(5):
+        extra = bk.process_coords(bk.random_process(rebit, rebit, s))
+        assert bk.matrix_rank(np.vstack([basis.elements, extra])) == basis.dim == 10
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+@pytest.mark.parametrize("din", [1, 2, 3])
+@pytest.mark.parametrize("dout", [1, 2, 3])
+def test_process_basis_is_lower_triangular_with_svd_oracle(backend, din, dout):
+    """The structural full-rank check against the SVD rank it replaces (N <= 81)."""
+    basis = bk.process_space_basis(system(backend, din), system(backend, dout))
+    elements = basis.elements
+    assert elements.shape == (basis.dim, basis.dim)
+    assert not np.triu(elements, 1).any()
+    diag = elements.diagonal()
+    assert np.all((np.abs(diag - 1.0) <= 1e-15) | (np.abs(diag - 1 / np.sqrt(2.0)) <= 1e-15))
+    assert bk.matrix_rank(elements) == basis.dim == len(basis.processes)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

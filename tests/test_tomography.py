@@ -323,6 +323,31 @@ def test_qubit_bell_is_faithful_with_rank_16(qubit):
     assert tm.is_dynamically_faithful(phi, qubit, qubit)
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+@pytest.mark.parametrize("din,dout", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_lifting_on_canonical_faithful_state_is_choi_matrix(backend, din, dout):
+    """Choi-Jamiolkowski: on the canonical faithful state M = elements^T / d_in."""
+    a = system(backend, din)
+    basis = bk.process_space_basis(a, system(backend, dout))
+    m = tm.lifting_matrix(tm.find_faithful_state(a), a, basis)
+    assert np.abs(m - basis.elements.T / din).max() <= 1e-15
+
+
+def test_faithful_check_runs_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    bk.process_space_basis.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = tm.faithful_state_check(QUANTUM, 3, 3)
+    assert report.passed and report.details["lifting_rank"] == 81
+    assert calls == [(81, 81)]
+
+
 def test_rebit_bell_is_faithful(rebit):
     assert tm.is_dynamically_faithful(tm.find_faithful_state(rebit), rebit, rebit)
 
