@@ -13,10 +13,10 @@ Choi-style object: the lifted action on the unnormalized maximally correlated
 state ``sum_ij E_ij (x) E_ij``.  For the complex backend that object ranges
 over all Hermitian matrices on B (x) A, giving span dimension (d_A d_B)^2; for
 the real backend over real symmetric matrices; for the classical backend the
-process matrix itself is the coordinate.  In every backend the polarization
-family's coordinate matrix is square and lower triangular with a nonzero
-diagonal, so it spans the whole coordinate space; the builder asserts that
-structure instead of taking a numerical rank.
+process matrix itself is the coordinate.  The process-space basis is plain
+arrays, the polarization operators and their coordinate matrix; the latter
+is square and lower triangular with a nonzero diagonal in every backend, so
+the builder asserts that structure instead of taking a numerical rank.
 """
 
 from __future__ import annotations
@@ -180,67 +180,56 @@ def process_coords(p: ProcessRep, *, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessSpaceBasis:
-    """A basis of the real span of processes of one type.
+    """A basis of the real span of processes of one type, as plain arrays.
 
-    ``processes`` are physical (single-Kraus or matrix-unit) processes whose
-    operational coordinates are the rows of ``elements``: a square, lower
-    triangular matrix with a nonzero diagonal, so the rows are linearly
-    independent and span the whole operational coordinate space.
+    ``operators`` (N, d_out, d_in) are Kraus operators of physical processes
+    (stochastic matrix units on the classical backend); row n of ``elements``
+    is the operational coordinates of process n.  That matrix is square and
+    lower triangular with a nonzero diagonal, so its rows span the space.
     """
 
     input: SystemDescriptor
     output: SystemDescriptor
-    processes: tuple[ProcessRep, ...]
+    operators: np.ndarray
     elements: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.processes)
+        return len(self.operators)
 
 
 @lru_cache(maxsize=None)
 def process_space_basis(a: SystemDescriptor, b: SystemDescriptor) -> ProcessSpaceBasis:
     """Basis of the operational span of processes A -> B.
 
-    Classical: matrix units (dimension d_A d_B).  Quantum family: single-Kraus
-    processes over a polarization family of operators.  In the Gell-Mann
-    coordinate order the family's coordinate matrix is lower triangular with
-    diagonal entries 1 and 1/sqrt2, so full rank is checked structurally in
-    O(N^2) rather than by an SVD.
+    Classical: matrix units (dimension d_A d_B).  Quantum family: matrix
+    units E_x, then (E_x + E_y)/sqrt2 and, complex backend only,
+    (E_x + i E_y)/sqrt2 over x < y; an element holds the coordinates of the
+    rank-one Choi matrix vec(K) vec(K)^dag.  In the Gell-Mann order they are
+    lower triangular with diagonal entries 1 and 1/sqrt2, so full rank is
+    checked structurally in O(N^2) rather than by an SVD.
     """
     if a.backend != b.backend:
         raise ValueError("process space needs matching backends")
+    din, dout = a.total_dim, b.total_dim
+    units = np.eye(din * dout).reshape(-1, dout, din)
     if a.backend == CLASSICAL:
-        procs = []
-        for i in range(b.total_dim):
-            for j in range(a.total_dim):
-                m = np.zeros((b.total_dim, a.total_dim))
-                m[i, j] = 1.0
-                procs.append(stochastic_process(a, b, m))
+        ops = units
+        elements = units.reshape(len(units), -1)
     else:
-        kops = []
-        din, dout = a.total_dim, b.total_dim
-        for i in range(dout):
-            for j in range(din):
-                m = np.zeros((dout, din), dtype=complex)
-                m[i, j] = 1.0
-                kops.append(m)
-        flat = list(kops)
-        m_tot = len(flat)
-        for x in range(m_tot):
-            for y in range(x + 1, m_tot):
-                kops.append((flat[x] + flat[y]) / np.sqrt(2.0))
+        xs, ys = np.triu_indices(len(units), 1)
+        ops = [units, (units[xs] + units[ys]) / np.sqrt(2.0)]
         if a.backend == QUANTUM:
-            for x in range(m_tot):
-                for y in range(x + 1, m_tot):
-                    kops.append((flat[x] + 1j * flat[y]) / np.sqrt(2.0))
-        procs = [kraus_process(a, b, [k]) for k in kops]
-    elements = np.stack([process_coords(p) for p in procs])
-    elements.flags.writeable = False
+            ops.append((units[xs] + 1j * units[ys]) / np.sqrt(2.0))
+        ops = np.concatenate(ops)
+        comp = tensor_systems(b, a)
+        vecs = ops.reshape(len(ops), -1)
+        elements = np.stack([matrix_to_coords(comp, np.outer(v, v.conj())) for v in vecs])
+    ops.flags.writeable = elements.flags.writeable = False
     square = elements.shape[0] == elements.shape[1]
     if not square or np.triu(elements, 1).any() or not elements.diagonal().all():
         raise ValueError("process basis construction produced dependent elements")
-    return ProcessSpaceBasis(a, b, tuple(procs), elements)
+    return ProcessSpaceBasis(a, b, ops, elements)
 
 
 def matrix_rank(mat: np.ndarray, *, rel_tol: float = 1e-9) -> int:

@@ -69,8 +69,9 @@ class SystemDescriptor:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if any(int(d) != d or d < 1 for d in self.dims):
+        if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
             raise ValueError(f"local dimensions must be positive integers, got {self.dims}")
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
 
     @property
     def total_dim(self) -> int:
@@ -375,10 +376,13 @@ def kraus_process(
 ) -> ProcessRep:
     if input.backend != output.backend:
         raise ValueError("process input and output must share a backend")
+    din, dout = input.total_dim, output.total_dim
+    ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
+    for k in ops:
+        if k.shape != (dout, din):
+            raise ValueError(f"Kraus operator has shape {k.shape}, expected {(dout, din)}")
     if input.backend == CLASSICAL:
         raise ValueError("classical processes use stochastic matrices, not Kraus lists")
-    din, dout = input.total_dim, output.total_dim
-    ops = tuple(np.asarray(k, dtype=complex).reshape(dout, din) for k in kraus)
     if not ops:
         raise ValueError("a Kraus list needs at least one operator")
     if input.backend == REAL:
@@ -410,7 +414,10 @@ def stochastic_process(
 ) -> ProcessRep:
     if input.backend != CLASSICAL or output.backend != CLASSICAL:
         raise ValueError("stochastic matrices represent classical processes only")
-    mat = np.asarray(matrix, dtype=float).reshape(output.total_dim, input.total_dim)
+    mat = np.asarray(matrix, dtype=float)
+    shape = (output.total_dim, input.total_dim)
+    if mat.shape != shape:
+        raise ValueError(f"stochastic matrix has shape {mat.shape}, expected {shape}")
     if mat.min() < -tol:
         raise ValueError("stochastic matrix has a negative entry")
     sums = mat.sum(axis=0)

@@ -605,12 +605,6 @@ def _build_value(prog: TypedProgram, v: ValueDecl, tol: float) -> ProcessRep:
         if isinstance(v.literal, StochLit):
             return stochastic_process(inp, out, np.array(v.literal.matrix, dtype=float), tol=tol)
         mats = [np.array(m, dtype=complex) for m in v.literal.matrices]
-        for m in mats:
-            if m.shape != (out.total_dim, inp.total_dim):
-                raise ValueError(
-                    f"Kraus operator has shape {m.shape}, expected "
-                    f"({out.total_dim}, {inp.total_dim})"
-                )
         return kraus_process(inp, out, mats, tol=tol)
     except ValueError as exc:
         raise DslError(str(exc), *v.pos, prog.filename) from exc

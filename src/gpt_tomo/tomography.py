@@ -30,13 +30,12 @@ from .core import (
     SystemDescriptor,
     Test,
     apply,
-    apply_to_factors,
     lift,
+    matrix_to_coords,
     source_states,
     state_from_coords,
     state_from_matrix,
     system,
-    tensor_effects,
     tensor_systems,
 )
 from .reports import CheckReport
@@ -209,16 +208,26 @@ def equal_on_extensions(
 def lifting_matrix(
     phi: StateVector, a: SystemDescriptor, basis: bk.ProcessSpaceBasis
 ) -> np.ndarray:
-    """Columns are coordinates of (T_i (x) I) phi over the process basis.
+    """Column n is the coordinate vector of (K_n (x) I) phi (K_n (x) I)^dag.
 
     A process with basis coordinates c acts on phi as ``M c``; the kernel of
-    M is the set of process-span elements invisible on phi.
+    M is the set of process-span elements invisible on phi.  Quantum family:
+    phi = H H^dag is factored once and column n is W W^dag, W = (K_n (x) I) H.
     """
     k = a.n_factors
-    if phi.system.dims[:k] != a.dims:
+    if phi.system.backend != a.backend or phi.system.dims[:k] != a.dims:
         raise ValueError(f"state on {phi.system} does not start with input {a}")
-    cols = [apply_to_factors(t, phi, 0).coords for t in basis.processes]
-    return np.stack(cols, axis=1)
+    if basis.input != a:
+        raise ValueError(f"process basis starts at {basis.input}, not at input {a}")
+    if a.backend == CLASSICAL:
+        joint = phi.coords.reshape(a.total_dim, -1)
+        return np.einsum("noi,ir->orn", basis.operators, joint).reshape(-1, basis.dim)
+    out = SystemDescriptor(a.backend, basis.output.dims + phi.system.dims[k:])
+    vals, vecs = np.linalg.eigh(phi.matrix)
+    h = (vecs[:, vals > 0] * np.sqrt(vals[vals > 0])).reshape(a.total_dim, -1)
+    # one W at a time: N stacked outputs would set the check's peak memory
+    ws = ((op @ h).reshape(out.total_dim, -1) for op in basis.operators)
+    return np.stack([matrix_to_coords(out, w @ w.conj().T) for w in ws], axis=1)
 
 
 def tomographically_geq(
@@ -287,15 +296,15 @@ def is_locally_tomographic(
 
     Equivalent to the dimension law state_dim(A (x) B) = state_dim(A) *
     state_dim(B); both the dimension count and the numeric span rank of the
-    product effects are reported.
+    product effects are reported.  That rank is rank C_A * rank C_B for the
+    stacked coordinates C of each side's spanning effects: coordinates are
+    orthonormal, so the product-effect coordinates P have P P^T = G_A (x) G_B.
     """
     comp = tensor_systems(a, b)
     dim_composite = comp.state_dim
     dim_product = a.state_dim * b.state_dim
-    prod_effects = [
-        tensor_effects(ea, eb) for ea in bk.spanning_effects(a) for eb in bk.spanning_effects(b)
-    ]
-    rank = bk.matrix_rank(np.stack([e.coords for e in prod_effects]))
+    local = [np.stack([e.coords for e in bk.spanning_effects(s)]) for s in (a, b)]
+    rank = bk.matrix_rank(local[0]) * bk.matrix_rank(local[1])
     passed = dim_composite == dim_product and rank == dim_composite
     return CheckReport(
         check="local-tomography",

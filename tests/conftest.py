@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpt_tomo import core as c
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system
 
 I2 = np.eye(2)
@@ -18,6 +19,13 @@ PSI_MINUS = (np.kron(KET0, KET1) - np.kron(KET1, KET0)) / np.sqrt(2.0)
 
 def proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
+
+
+def basis_processes(basis):
+    """The validated single-operator processes that a process basis's arrays stand for."""
+    if basis.input.backend == CLASSICAL:
+        return [c.stochastic_process(basis.input, basis.output, m) for m in basis.operators]
+    return [c.kraus_process(basis.input, basis.output, [k]) for k in basis.operators]
 
 
 @pytest.fixture

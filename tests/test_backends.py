@@ -9,7 +9,7 @@ from gpt_tomo import backends as bk
 from gpt_tomo import core as c
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system, tensor_systems
 
-from conftest import I2, PHI_PLUS, proj
+from conftest import I2, PHI_PLUS, basis_processes, proj
 
 BACKEND_ST = st.sampled_from([CLASSICAL, QUANTUM, REAL])
 SEED_ST = st.integers(0, 2**31 - 1)
@@ -144,6 +144,33 @@ def test_rebit_process_span_stable_across_seeds(rebit):
         assert bk.matrix_rank(np.vstack([basis.elements, extra])) == basis.dim == 10
 
 
+def _polarization_processes(a, b):
+    """The process family built one validated process at a time, as the basis once was."""
+    if a.backend == CLASSICAL:
+        procs = []
+        for i in range(b.total_dim):
+            for j in range(a.total_dim):
+                m = np.zeros((b.total_dim, a.total_dim))
+                m[i, j] = 1.0
+                procs.append(c.stochastic_process(a, b, m))
+        return procs
+    flat = []
+    for i in range(b.total_dim):
+        for j in range(a.total_dim):
+            m = np.zeros((b.total_dim, a.total_dim), dtype=complex)
+            m[i, j] = 1.0
+            flat.append(m)
+    kops = list(flat)
+    for x in range(len(flat)):
+        for y in range(x + 1, len(flat)):
+            kops.append((flat[x] + flat[y]) / np.sqrt(2.0))
+    if a.backend == QUANTUM:
+        for x in range(len(flat)):
+            for y in range(x + 1, len(flat)):
+                kops.append((flat[x] + 1j * flat[y]) / np.sqrt(2.0))
+    return [c.kraus_process(a, b, [k]) for k in kops]
+
+
 @pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
 @pytest.mark.parametrize("din", [1, 2, 3])
 @pytest.mark.parametrize("dout", [1, 2, 3])
@@ -155,7 +182,23 @@ def test_process_basis_is_lower_triangular_with_svd_oracle(backend, din, dout):
     assert not np.triu(elements, 1).any()
     diag = elements.diagonal()
     assert np.all((np.abs(diag - 1.0) <= 1e-15) | (np.abs(diag - 1 / np.sqrt(2.0)) <= 1e-15))
-    assert bk.matrix_rank(elements) == basis.dim == len(basis.processes)
+    assert bk.matrix_rank(elements) == basis.dim == len(basis_processes(basis))
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+@pytest.mark.parametrize("din", [1, 2, 3])
+@pytest.mark.parametrize("dout", [1, 2, 3])
+def test_process_basis_arrays_match_validated_processes(backend, din, dout):
+    """Closed-form operators and elements against one process_coords per built process."""
+    a, b = system(backend, din), system(backend, dout)
+    basis = bk.process_space_basis(a, b)
+    procs = _polarization_processes(a, b)
+    expected = np.stack([bk.process_coords(p) for p in procs])
+    assert basis.elements.dtype == expected.dtype
+    assert basis.elements.tobytes() == expected.tobytes()
+    ops = [p.stoch if p.stoch is not None else p.kraus[0] for p in procs]
+    np.testing.assert_array_equal(basis.operators, np.stack(ops))
+    assert basis.operators.shape == (basis.dim, dout, din)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -180,7 +223,7 @@ def test_lift_coordinates_are_linear_in_process_coordinates(backend, seed):
     alpha, *_ = np.linalg.lstsq(basis.elements.T, bk.process_coords(p), rcond=None)
     lifted = bk.process_coords(c.lift(p, anc))
     lifted_combo = sum(
-        al * bk.process_coords(c.lift(t, anc)) for al, t in zip(alpha, basis.processes)
+        al * bk.process_coords(c.lift(t, anc)) for al, t in zip(alpha, basis_processes(basis))
     )
     assert np.abs(lifted - lifted_combo).max() < 1e-9
 

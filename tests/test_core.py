@@ -38,6 +38,15 @@ def test_mixed_backend_composition_rejected(qubit, bit):
         tensor_systems(qubit, bit)
 
 
+def test_dimensions_are_stored_as_python_ints():
+    for bad in (2.0, np.float64(2.0), 0, -1, "2"):
+        with pytest.raises(ValueError, match="positive integers"):
+            system(QUANTUM, bad)
+    sys = system(QUANTUM, np.int64(2), 3)
+    assert sys == system(QUANTUM, 2, 3) and hash(sys) == hash(system(QUANTUM, 2, 3))
+    assert all(type(d) is int for d in sys.dims)
+
+
 # ---------------------------------------------------------------------------
 # coordinate conversions: closed form against the dense basis
 # ---------------------------------------------------------------------------
@@ -295,6 +304,14 @@ def test_bitflip_permutes(bit):
     s = c.state_from_coords(bit, [0.3, 0.7])
     assert np.allclose(c.apply(flip, s).coords, [0.7, 0.3])
     assert flip.deterministic and flip.reversible
+
+
+def test_misshaped_process_operands_rejected(qubit, qutrit, bit):
+    # a 2 x 3 operator for 2 -> 3 reshapes to an isometry; it must not be accepted
+    with pytest.raises(ValueError, match=r"Kraus operator has shape \(2, 3\), expected \(3, 2\)"):
+        c.kraus_process(qubit, qutrit, [[[1, 0, 0], [0, 0, 1]]])
+    with pytest.raises(ValueError, match=r"matrix has shape \(1, 4\), expected \(2, 2\)"):
+        c.stochastic_process(bit, bit, [[1, 0, 0, 1]])
 
 
 def test_kraus_physicality_rejected(qubit):

@@ -171,6 +171,16 @@ def test_open_diagram_process_result():
     assert r.payload.reversible
 
 
+def test_stoch_shape_mismatch_is_rejected():
+    text = (
+        "system A classical 2;\nstate s on A = stoch[[[0.3], [0.7]]];\n"
+        "proc f on A -> A = stoch[[[1, 0, 0, 1]]];\nrun f . s"
+    )
+    with pytest.raises(dsl.DslError, match=r"stochastic matrix has shape \(1, 4\)") as err:
+        dsl.run_program(text)
+    assert err.value.line == 3
+
+
 def test_kraus_shape_mismatch_is_positioned():
     text = "system A quantum 2;\nproc f on A -> A = kraus[[[1, 0, 0], [0, 1, 0]]];\nrun f"
     with pytest.raises(dsl.DslError) as err:

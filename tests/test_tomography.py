@@ -11,7 +11,7 @@ from gpt_tomo import tomography as tm
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system
 from gpt_tomo.rebit import rebit_processes
 
-from conftest import PHI_PLUS, proj
+from conftest import PHI_PLUS, basis_processes, proj
 
 SEED_ST = st.integers(0, 2**31 - 1)
 BACKEND_ST = st.sampled_from([CLASSICAL, QUANTUM, REAL])
@@ -333,6 +333,70 @@ def test_lifting_on_canonical_faithful_state_is_choi_matrix(backend, din, dout):
     assert np.abs(m - basis.elements.T / din).max() <= 1e-15
 
 
+def _lifting_oracle_states(a):
+    """Faithful, random mixed, product and (quantum family) pure states, qubit reference."""
+    ref = system(a.backend, 2)
+    states = [
+        tm.find_faithful_state(a),
+        bk.random_state(c.tensor_systems(a, ref), 7),
+        c.tensor_states(bk.random_state(a, 3), bk.random_state(ref, 4)),
+    ]
+    if a.backend != CLASSICAL:
+        states.append(bk.random_pure_state(c.tensor_systems(a, ref), 5))
+    return states
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+@pytest.mark.parametrize("din,dout", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_lifting_matrix_matches_apply_to_factors_loop(backend, din, dout):
+    """Each column against applying its validated basis process with apply_to_factors."""
+    a = system(backend, din)
+    basis = bk.process_space_basis(a, system(backend, dout))
+    procs = basis_processes(basis)
+    for phi in _lifting_oracle_states(a):
+        expected = np.stack([c.apply_to_factors(p, phi, 0).coords for p in procs], axis=1)
+        m = tm.lifting_matrix(phi, a, basis)
+        assert m.shape == expected.shape
+        assert np.abs(m - expected).max() <= 1e-14
+        assert bk.matrix_rank(m) == bk.matrix_rank(expected)
+
+
+def test_lifting_matrix_rejects_a_basis_of_another_input(qubit, qutrit, rebit):
+    phi = tm.find_faithful_state(qubit)
+    for a in (qutrit, rebit):
+        with pytest.raises(ValueError, match="process basis starts at"):
+            tm.lifting_matrix(phi, qubit, bk.process_space_basis(a, a))
+    with pytest.raises(ValueError, match="does not start with input"):
+        tm.lifting_matrix(phi, rebit, bk.process_space_basis(rebit, rebit))
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named core function wherever a module binds it; returns the call log."""
+    calls = []
+    for name in names:
+        original = getattr(c, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args))
+            return _original(*args, **kwargs)
+
+        for mod in (c, bk, tm):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+def test_lifting_matrix_builds_no_process(monkeypatch, backend):
+    a = system(backend, 2)
+    basis = bk.process_space_basis(a, system(backend, 3))
+    phi = bk.random_state(c.tensor_systems(a, system(backend, 2)), 1)
+    calls = _count_calls(monkeypatch, ("apply_to_factors", "kraus_process", "stochastic_process"))
+    m = tm.lifting_matrix(phi, a, basis)
+    assert m.shape == (c.tensor_systems(system(backend, 3), a).state_dim, basis.dim)
+    assert calls == []
+
+
 def test_faithful_check_runs_one_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
@@ -390,6 +454,27 @@ def test_local_tomography_table(qubit, qutrit, rebit, bit):
     assert not rep.passed
     assert rep.details["dim_composite"] == 10
     assert rep.details["dim_product"] == 9
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+def test_local_tomography_rank_matches_dense_product_effects(backend):
+    """The product of local ranks against the SVD of every product effect (d_A d_B <= 9)."""
+    for d1 in range(1, 10):
+        for d2 in range(1, 9 // d1 + 1):
+            a, b = system(backend, d1), system(backend, d2)
+            effects_a, effects_b = bk.spanning_effects(a), bk.spanning_effects(b)
+            dense = np.stack([c.tensor_effects(e, f).coords for e in effects_a for f in effects_b])
+            rep = tm.is_locally_tomographic(a, b)
+            assert rep.details["product_effect_span_rank"] == bk.matrix_rank(dense), (d1, d2)
+
+
+def test_local_tomography_builds_no_composite_effect(monkeypatch, qubit, qutrit, rebit):
+    calls = _count_calls(monkeypatch, ("effect_from_coords", "tensor_effects"))
+    for a, b in ((qubit, qutrit), (rebit, rebit)):
+        calls.clear()
+        tm.is_locally_tomographic(a, b)
+        built = {args[0] for name, args in calls if name == "effect_from_coords"}
+        assert built == {a, b} and "tensor_effects" not in {name for name, _ in calls}
 
 
 # ---------------------------------------------------------------------------
