@@ -34,6 +34,7 @@ from .core import (
     StateVector,
     SystemDescriptor,
     apply_to_factors,
+    choi,
     contract,
     effect_from_coords,
     effect_from_matrix,
@@ -159,12 +160,6 @@ def purify(rho: StateVector, *, tol: float = DEFAULT_TOL) -> StateVector:
 # Operational process coordinates and process-space bases
 # ---------------------------------------------------------------------------
 
-def _choi_matrix(p: ProcessRep) -> np.ndarray:
-    """Choi-style matrix on B (x) A from the lifted action on sum_ij E_ij (x) E_ij."""
-    vecs = np.stack([k.reshape(-1) for k in p.kraus], axis=1)  # columns (K (x) I) sum_i |i>|i>
-    return vecs @ vecs.conj().T
-
-
 def process_coords(p: ProcessRep, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coordinates of a process in the fixed operational basis of its type.
 
@@ -175,7 +170,7 @@ def process_coords(p: ProcessRep, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     if p.stoch is not None:
         return p.stoch.reshape(-1).copy()
     comp = tensor_systems(p.output, p.input)
-    return matrix_to_coords(comp, _choi_matrix(p), tol=tol)
+    return matrix_to_coords(comp, choi(p.kraus), tol=tol)
 
 
 @dataclass(frozen=True)

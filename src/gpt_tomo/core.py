@@ -243,6 +243,12 @@ class EffectVector:
         return f"EffectVector({self.system}, kind={self.kind})"
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Reject NaN and inf, which every ``x < -tol`` style guard would let through."""
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # half the cost of .all() on small arrays
+        raise ValueError(f"{what} must be finite")
+
+
 def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat).min())
 
@@ -251,6 +257,7 @@ def state_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float =
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (sys.state_dim,):
         raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
+    _require_finite(coords, "state coordinates")
     if sys.backend == CLASSICAL:
         if coords.min() < -tol:
             raise ValueError(f"classical state has negative entry {coords.min():.3e}")
@@ -281,6 +288,7 @@ def effect_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float 
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (sys.effect_dim,):
         raise ValueError(f"expected {sys.effect_dim} coordinates for {sys}, got {coords.shape}")
+    _require_finite(coords, "effect coordinates")
     if sys.backend == CLASSICAL:
         if coords.min() < -tol or coords.max() > 1.0 + tol:
             raise ValueError("classical effect entries must lie in [0, 1]")
@@ -342,9 +350,10 @@ class ProcessRep:
     matrix.  For the real backend every Kraus operator must be entrywise real
     or entrywise purely imaginary: that class is closed under lifting and
     contains both counterexample processes, though it is documented as a
-    sufficient class rather than a characterization.  ``compose`` returns a
-    minimal Kraus form, at most d_in*d_out operators read off the Choi
-    eigendecomposition, so the ``kraus[N]`` in a composite's repr is that count.
+    sufficient class rather than a characterization.  Kraus lists read off
+    a positive matrix all come from ``kraus_from_psd``: ``compose`` keeps at
+    most d_in*d_out operators read off its ``choi`` matrix, so the ``kraus[N]``
+    in a composite's repr is that count.
     """
 
     input: SystemDescriptor
@@ -381,6 +390,7 @@ def kraus_process(
     for k in ops:
         if k.shape != (dout, din):
             raise ValueError(f"Kraus operator has shape {k.shape}, expected {(dout, din)}")
+        _require_finite(k, "Kraus operator")
     if input.backend == CLASSICAL:
         raise ValueError("classical processes use stochastic matrices, not Kraus lists")
     if not ops:
@@ -418,6 +428,7 @@ def stochastic_process(
     shape = (output.total_dim, input.total_dim)
     if mat.shape != shape:
         raise ValueError(f"stochastic matrix has shape {mat.shape}, expected {shape}")
+    _require_finite(mat, "stochastic matrix")
     if mat.min() < -tol:
         raise ValueError("stochastic matrix has a negative entry")
     sums = mat.sum(axis=0)
@@ -438,6 +449,27 @@ def _freeze_complex(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def choi(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k vec(K_k) vec(K_k)^dag on out (x) in: the lifted action on sum_i |i>|i>."""
+    vecs = np.stack([k.reshape(-1) for k in ops], axis=1)
+    return vecs @ vecs.conj().T
+
+
+def kraus_from_psd(
+    mat: np.ndarray, shape: tuple[int, int], *, cutoff: float, floor: float = -np.inf
+) -> list[np.ndarray]:
+    """sqrt(lambda) u reshaped to ``shape`` per eigenpair of ``mat`` with lambda > ``cutoff``.
+
+    One ``eigh`` (Choi, LAA 10, 285 (1975)); one zero operator when no pair
+    survives, and a ``ValueError`` when an eigenvalue falls below ``floor``.
+    """
+    vals, us = np.linalg.eigh(mat)
+    if vals.min() < floor:
+        raise ValueError(f"Choi matrix is not positive semidefinite: min eig {vals.min():.3e}")
+    kept = [np.sqrt(v) * us[:, i].reshape(shape) for i, v in enumerate(vals) if v > cutoff]
+    return kept or [np.zeros(shape)]
+
+
 def identity_process(sys: SystemDescriptor) -> ProcessRep:
     if sys.backend == CLASSICAL:
         return stochastic_process(sys, sys, np.eye(sys.total_dim))
@@ -449,10 +481,7 @@ def preparation_process(state: StateVector, *, tol: float = DEFAULT_TOL) -> Proc
     triv = trivial(state.system.backend)
     if state.system.backend == CLASSICAL:
         return stochastic_process(triv, state.system, state.coords.reshape(-1, 1))
-    vals, vecs = np.linalg.eigh(state.matrix)
-    cols = [np.sqrt(v) * vecs[:, i : i + 1] for i, v in enumerate(vals) if v > tol]
-    if not cols:
-        cols = [np.zeros((state.system.total_dim, 1))]
+    cols = kraus_from_psd(state.matrix, (state.system.total_dim, 1), cutoff=tol)
     return kraus_process(triv, state.system, cols)
 
 
@@ -461,11 +490,8 @@ def effect_process(effect: EffectVector, *, tol: float = DEFAULT_TOL) -> Process
     triv = trivial(effect.system.backend)
     if effect.system.backend == CLASSICAL:
         return stochastic_process(effect.system, triv, effect.coords.reshape(1, -1))
-    vals, vecs = np.linalg.eigh(effect.matrix)
-    rows = [np.sqrt(v) * vecs[:, i : i + 1].conj().T for i, v in enumerate(vals) if v > tol]
-    if not rows:
-        rows = [np.zeros((1, effect.system.total_dim))]
-    return kraus_process(effect.system, triv, rows)
+    rows = kraus_from_psd(effect.matrix, (1, effect.system.total_dim), cutoff=tol)
+    return kraus_process(effect.system, triv, [r.conj() for r in rows])
 
 
 def trivial_state(backend: str) -> StateVector:
@@ -486,9 +512,9 @@ def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) 
     """Sequential composition: ``compose(after, before)`` runs ``before`` first.
 
     Kraus lists come back in minimal form: a product list longer than
-    d_in*d_out is replaced by the eigendecomposition of its Choi matrix, so
-    deep chains keep at most d_in*d_out operators.  Shorter lists are kept
-    as formed.
+    d_in*d_out is replaced by ``kraus_from_psd`` of its ``choi`` matrix,
+    keeping every eigenpair with lambda > 0, so deep chains keep at most
+    d_in*d_out operators.  Shorter lists are kept as formed.
     """
     if before.output != after.input:
         raise ValueError(
@@ -497,29 +523,13 @@ def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) 
     if before.stoch is not None:
         return stochastic_process(before.input, after.output, after.stoch @ before.stoch, tol=tol)
     ops = [k2 @ k1 for k2 in after.kraus for k1 in before.kraus]
-    if len(ops) > before.input.total_dim * after.output.total_dim:
-        ops = _minimal_kraus(ops, before.backend)
+    din, dout = before.input.total_dim, after.output.total_dim
+    if len(ops) > din * dout:
+        mat = choi(ops)
+        if before.backend == REAL:  # real, so eigh's eigenvectors carry no phases
+            mat = mat.real
+        ops = kraus_from_psd(mat, (dout, din), cutoff=0.0)
     return kraus_process(before.input, after.output, ops, tol=tol)
-
-
-def _minimal_kraus(ops: Sequence[np.ndarray], backend: str) -> list[np.ndarray]:
-    """A Kraus list of at most d_in*d_out operators with the same Choi matrix.
-
-    The Choi matrix sum_k vec(K) vec(K)^dag is Hermitian positive
-    semidefinite; each eigenpair (lambda, u) with lambda > 0 gives the
-    operator sqrt(lambda) u (Choi, LAA 10, 285 (1975)).  On the real backend
-    the Choi matrix of real or purely imaginary operators is real, and taking
-    its real part keeps complex ``eigh`` from handing back real eigenvectors
-    with arbitrary phases.  A zero process keeps one zero operator.
-    """
-    dout, din = ops[0].shape
-    vecs = np.stack([k.reshape(-1) for k in ops], axis=1)
-    choi = vecs @ vecs.conj().T
-    if backend == REAL:
-        choi = choi.real
-    vals, us = np.linalg.eigh(choi)
-    kept = [np.sqrt(v) * us[:, i].reshape(dout, din) for i, v in enumerate(vals) if v > 0]
-    return kept or [np.zeros((dout, din))]
 
 
 def tensor_processes(p: ProcessRep, q: ProcessRep, *, tol: float = DEFAULT_TOL) -> ProcessRep:

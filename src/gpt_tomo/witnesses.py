@@ -37,6 +37,7 @@ from .core import (
     apply_to_factors,
     contract,
     deterministic_effect,
+    kraus_from_psd,
     kraus_process,
     marginal,
     preparation_test,
@@ -143,19 +144,15 @@ def _kraus_from_choi(
     """Recover a Kraus list from a Choi-style matrix on out (x) in.
 
     For the real backend the Choi matrix must come out real symmetric, which
-    makes the extracted Kraus operators entrywise real.
+    makes the extracted Kraus operators entrywise real.  The matrix must be
+    positive semidefinite up to sqrt(tol); ``kraus_from_psd`` reads the
+    operators off it.
     """
     if inp.backend == REAL:
         if np.abs(choi.imag).max() > tol or np.abs(choi - choi.T).max() > np.sqrt(tol):
             raise ValueError("real-backend construction produced a non-symmetric Choi matrix")
         choi = 0.5 * (choi.real + choi.real.T)
-    vals, vecs = np.linalg.eigh(choi)
-    if vals.min() < -np.sqrt(tol):
-        raise ValueError(f"Choi matrix is not positive semidefinite: min eig {vals.min():.3e}")
-    shape = (out.total_dim, inp.total_dim)
-    ops = [np.sqrt(v) * vecs[:, i].reshape(shape) for i, v in enumerate(vals) if v > tol]
-    if not ops:
-        ops = [np.zeros(shape)]
+    ops = kraus_from_psd(choi, (out.total_dim, inp.total_dim), cutoff=tol, floor=-np.sqrt(tol))
     return kraus_process(inp, out, ops, tol=np.sqrt(tol))
 
 
@@ -478,22 +475,18 @@ def _prep_witness(
         s_mat = p * d * joint.T
         witness = stochastic_process(a, env, s_mat, tol=np.sqrt(tol))
     else:
-        k_a = a.n_factors
+        # one sqrt(lambda) u per branch, as a coefficient matrix from the A copy to E
+        k_a, n_e = a.n_factors, target.system.total_dim // d
         if side == "second":
             env = SystemDescriptor(a.backend, target.system.dims[k_a:])
+            coeff_mats = [m.T for m in kraus_from_psd(target.matrix, (d, n_e), cutoff=tol)]
         else:
             env = SystemDescriptor(a.backend, target.system.dims[: target.system.n_factors - k_a])
-        vals, vecs = np.linalg.eigh(target.matrix)
-        branches = [
-            np.sqrt(v) * vecs[:, i] for i, v in enumerate(vals) if v > tol
-        ]  # unnormalized eigenvectors, squared norms summing to the weight
-        # each coefficient matrix maps the A copy to E
-        if side == "second":
-            coeff_mats = [vec.reshape(d, env.total_dim).T for vec in branches]
-        else:
-            coeff_mats = [vec.reshape(env.total_dim, d) for vec in branches]
+            coeff_mats = kraus_from_psd(target.matrix, (n_e, d), cutoff=tol)
         gram = sum(m.conj().T @ m for m in coeff_mats)
         top = float(np.linalg.eigvalsh(gram).max())
+        if top <= 0.0:  # no eigenvalue above tol: only the one zero operator came back
+            raise ValueError("cannot prepare the zero target with a cancellative scalar")
         p = 1.0 / (d * top)
         ops = [np.sqrt(p * d) * m for m in coeff_mats]
         witness = kraus_process(a, env, ops, tol=np.sqrt(tol))

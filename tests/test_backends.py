@@ -237,7 +237,7 @@ def test_choi_matrix_matches_lifted_action(backend, din, dout):
         p = bk.random_process(system(backend, din), system(backend, dout), seed)
         vecs = [np.kron(k, np.eye(din)) @ omega for k in p.kraus]
         expected = sum(np.outer(v, v.conj()) for v in vecs)
-        np.testing.assert_allclose(bk._choi_matrix(p), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(c.choi(p.kraus), expected, rtol=0, atol=1e-14)
 
 
 def test_process_coords_separate_the_rebit_pair(rebit):

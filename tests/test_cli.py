@@ -99,6 +99,18 @@ def test_run_malformed_circuit_exits_one(capsys):
     assert "malformed.opt:2:5" in err
 
 
+def test_run_non_finite_literal_exits_one(capsys, tmp_path):
+    path = tmp_path / "inf.opt"
+    path.write_text(
+        "system q quantum 2;\nstate s on q = kraus[[[1], [0]]];\neffect e on q = kraus[[[1, 0]]];\n"
+        "proc p on q -> q = kraus[[[1e999, 0], [0, 1]]];\nrun e . p . s\n"
+    )
+    code, out, err = run_cli(capsys, ["run", str(path)])
+    assert code == 1
+    assert "PASS" not in out
+    assert "inf.opt:4:" in err and "must be finite" in err
+
+
 def test_run_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["run", "nope.opt"])
     assert code == 2

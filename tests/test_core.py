@@ -223,6 +223,28 @@ def test_state_cone_membership_enforced(qubit, bit):
         c.state_from_coords(bit, [-0.1, 1.1])
 
 
+C2, Q1, Q2, R2 = system(CLASSICAL, 2), system(QUANTUM, 1), system(QUANTUM, 2), system(REAL, 2)
+NAN, INF = np.nan, np.inf
+NON_FINITE = [
+    pytest.param("state", lambda: c.state_from_coords(C2, [NAN, 0.5]), id="classical-state-nan"),
+    pytest.param("state", lambda: c.state_from_coords(Q2, [0.5, 0.5, NAN, 0.0]), id="quantum-state-nan"),
+    pytest.param("state", lambda: c.state_from_coords(R2, [INF, 0.5, 0.0]), id="real-state-inf"),
+    pytest.param("effect", lambda: c.effect_from_coords(C2, [NAN, 0.5]), id="classical-effect-nan"),
+    pytest.param("effect", lambda: c.effect_from_coords(Q2, [0.5, NAN, 0.0, 0.0]), id="quantum-effect-nan"),
+    pytest.param("stochastic", lambda: c.stochastic_process(C2, C2, np.full((2, 2), NAN)), id="stochastic-all-nan"),
+    pytest.param("Kraus", lambda: c.kraus_process(Q1, Q2, [[[NAN], [0.0]]]), id="kraus-nan"),
+    pytest.param("Kraus", lambda: c.kraus_process(Q2, Q2, [np.diag([1e999, 1.0])]), id="kraus-inf"),
+    pytest.param("Kraus", lambda: c.kraus_process(R2, R2, [np.eye(2), np.diag([INF, 0.0])]), id="real-kraus-inf-second"),
+]
+
+
+@pytest.mark.parametrize("what,build", NON_FINITE)
+def test_non_finite_entries_rejected(what, build):
+    # NaN fails every `x < -tol` guard, so each constructor checks finiteness first
+    with pytest.raises(ValueError, match=f"{what} .*must be finite"):
+        build()
+
+
 def test_real_backend_rejects_complex_states(rebit):
     with pytest.raises(ValueError, match="not representable"):
         c.state_from_matrix(rebit, np.array([[0.5, 0.5j], [-0.5j, 0.5]]))

@@ -194,6 +194,17 @@ def test_unphysical_literal_rejected():
         dsl.run_program(text)
 
 
+def test_non_finite_literal_is_positioned():
+    # 1e999 parses as inf; the literal is rejected where it is declared
+    text = (
+        "system q quantum 2;\nstate s on q = kraus[[[1], [0]]];\neffect e on q = kraus[[[1, 0]]];\n"
+        "proc p on q -> q = kraus[[[1e999, 0], [0, 1]]];\nrun e . p . s"
+    )
+    with pytest.raises(dsl.DslError, match="must be finite") as err:
+        dsl.run_program(text)
+    assert err.value.line == 4
+
+
 def test_complex_entries_parse():
     text = """
     system A quantum 2;

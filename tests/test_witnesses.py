@@ -476,6 +476,15 @@ def test_prep_witness_rejects_zero_target(qubit):
         wt.preparationally_faithful_witness(phi, zero)
 
 
+@pytest.mark.parametrize("side", ["second", "first"])
+def test_prep_witness_rejects_target_with_no_branch_above_tol(qubit, side):
+    # weight 2e-9 passes the weight guard, but every eigenvalue is at most tol
+    phi = bk.maximally_entangled_state(qubit)
+    tiny = c.state_from_matrix(tensor_systems(qubit, qubit), 5e-10 * np.eye(4))
+    with pytest.raises(ValueError, match="zero target"):
+        wt.preparationally_faithful_witness(phi, tiny, side=side)
+
+
 def test_prep_witness_classical(bit):
     phi = bk.maximally_entangled_state(bit)
     two = tensor_systems(bit, bit)
