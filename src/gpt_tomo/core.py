@@ -197,8 +197,8 @@ def matrix_to_coords(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEF
     return np.concatenate(blocks) + 0.0  # -0.0 -> 0.0, as a sum over the whole basis gives
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _lock(arr: np.ndarray, dtype: type = float) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -253,6 +253,11 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat).min())
 
 
+def _near(arr: np.ndarray, target, tol: float) -> bool:
+    """max|arr - target| <= tol: the one rule behind every deterministic and reversible flag."""
+    return bool(np.abs(arr - target).max() <= tol)
+
+
 def state_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float = DEFAULT_TOL) -> StateVector:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (sys.state_dim,):
@@ -292,14 +297,14 @@ def effect_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float 
     if sys.backend == CLASSICAL:
         if coords.min() < -tol or coords.max() > 1.0 + tol:
             raise ValueError("classical effect entries must lie in [0, 1]")
-        det = bool(np.allclose(coords, 1.0, atol=tol))
+        det = _near(coords, 1.0, tol)
     else:
         mat = coords_to_matrix(sys, coords)
         if _min_eig(mat) < -tol:
             raise ValueError("effect matrix is not positive semidefinite")
         if _min_eig(np.eye(sys.total_dim) - mat) < -tol:
             raise ValueError("effect matrix exceeds the identity")
-        det = bool(np.allclose(mat, np.eye(sys.total_dim), atol=tol))
+        det = _near(mat, np.eye(sys.total_dim), tol)
     kind = DETERMINISTIC if det else GENERAL
     return EffectVector(sys, _lock(coords), kind)
 
@@ -377,11 +382,7 @@ def _is_real_or_imaginary(k: np.ndarray, tol: float) -> bool:
 
 
 def kraus_process(
-    input: SystemDescriptor,
-    output: SystemDescriptor,
-    kraus: Iterable[np.ndarray],
-    *,
-    tol: float = DEFAULT_TOL,
+    input: SystemDescriptor, output: SystemDescriptor, kraus: Iterable[np.ndarray], *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
     if input.backend != output.backend:
         raise ValueError("process input and output must share a backend")
@@ -395,32 +396,36 @@ def kraus_process(
         raise ValueError("classical processes use stochastic matrices, not Kraus lists")
     if not ops:
         raise ValueError("a Kraus list needs at least one operator")
-    if input.backend == REAL:
-        for k in ops:
-            if not _is_real_or_imaginary(k, tol):
-                raise ValueError(
-                    "real-backend Kraus operators must be entrywise real or entrywise purely imaginary"
-                )
-    gram = sum(k.conj().T @ k for k in ops)
+    if input.backend == REAL and not all(_is_real_or_imaginary(k, tol) for k in ops):
+        raise ValueError("real-backend Kraus operators must be entrywise real or entrywise purely imaginary")
+    gram = _gram(ops)
     if _min_eig(np.eye(din) - gram) < -tol:
         raise ValueError("Kraus list is not physical: sum K^dag K exceeds the identity")
-    det = bool(np.allclose(gram, np.eye(din), atol=tol))
-    rev = bool(
-        det
-        and len(ops) == 1
-        and din == dout
-        and np.allclose(ops[0] @ ops[0].conj().T, np.eye(dout), atol=tol)
-    )
-    ops = tuple(_freeze_complex(k) for k in ops)
+    return _kraus_rep(input, output, ops, tol, gram)
+
+
+def _gram(ops: Sequence[np.ndarray]) -> np.ndarray:
+    stacked = np.concatenate(ops)  # sum_k K_k^dag K_k as one product
+    return stacked.conj().T @ stacked
+
+
+def _kraus_rep(input: SystemDescriptor, output: SystemDescriptor, ops, tol: float, gram=None) -> ProcessRep:
+    """The process of a Kraus list known to be physical: only the flags are computed.
+
+    ``kraus_process`` validates and then calls it; ``compose`` and
+    ``tensor_processes`` call it directly, since composites of completely
+    positive maps are completely positive (Choi, LAA 10, 285 (1975)).
+    """
+    ops = tuple(_lock(k, complex) for k in ops)
+    eye = np.eye(input.total_dim)
+    det = _near(_gram(ops) if gram is None else gram, eye, tol)
+    square = input.total_dim == output.total_dim
+    rev = det and len(ops) == 1 and square and _near(ops[0] @ ops[0].conj().T, eye, tol)
     return ProcessRep(input, output, ops, None, det, rev)
 
 
 def stochastic_process(
-    input: SystemDescriptor,
-    output: SystemDescriptor,
-    matrix: np.ndarray,
-    *,
-    tol: float = DEFAULT_TOL,
+    input: SystemDescriptor, output: SystemDescriptor, matrix: np.ndarray, *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
     if input.backend != CLASSICAL or output.backend != CLASSICAL:
         raise ValueError("stochastic matrices represent classical processes only")
@@ -431,22 +436,16 @@ def stochastic_process(
     _require_finite(mat, "stochastic matrix")
     if mat.min() < -tol:
         raise ValueError("stochastic matrix has a negative entry")
-    sums = mat.sum(axis=0)
-    if sums.max() > 1.0 + tol:
+    if mat.sum(axis=0).max() > 1.0 + tol:
         raise ValueError("stochastic matrix has a column summing above 1")
-    det = bool(np.allclose(sums, 1.0, atol=tol))
-    rev = bool(
-        det
-        and mat.shape[0] == mat.shape[1]
-        and np.allclose(mat @ mat.T, np.eye(mat.shape[0]), atol=tol)
-    )
+    return _stoch_rep(input, output, mat, tol)
+
+
+def _stoch_rep(input: SystemDescriptor, output: SystemDescriptor, mat: np.ndarray, tol: float) -> ProcessRep:
+    """The classical counterpart of ``_kraus_rep``: flags only, for a matrix known to be substochastic."""
+    det = _near(mat.sum(axis=0), 1.0, tol)
+    rev = det and mat.shape[0] == mat.shape[1] and _near(mat @ mat.T, np.eye(len(mat)), tol)
     return ProcessRep(input, output, None, _lock(mat), det, rev)
-
-
-def _freeze_complex(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 def choi(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -521,7 +520,7 @@ def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) 
             f"cannot compose: first process outputs {before.output}, second expects {after.input}"
         )
     if before.stoch is not None:
-        return stochastic_process(before.input, after.output, after.stoch @ before.stoch, tol=tol)
+        return _stoch_rep(before.input, after.output, after.stoch @ before.stoch, tol)
     ops = [k2 @ k1 for k2 in after.kraus for k1 in before.kraus]
     din, dout = before.input.total_dim, after.output.total_dim
     if len(ops) > din * dout:
@@ -529,7 +528,7 @@ def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) 
         if before.backend == REAL:  # real, so eigh's eigenvectors carry no phases
             mat = mat.real
         ops = kraus_from_psd(mat, (dout, din), cutoff=0.0)
-    return kraus_process(before.input, after.output, ops, tol=tol)
+    return _kraus_rep(before.input, after.output, ops, tol)
 
 
 def tensor_processes(p: ProcessRep, q: ProcessRep, *, tol: float = DEFAULT_TOL) -> ProcessRep:
@@ -538,9 +537,8 @@ def tensor_processes(p: ProcessRep, q: ProcessRep, *, tol: float = DEFAULT_TOL) 
     inp = tensor_systems(p.input, q.input)
     out = tensor_systems(p.output, q.output)
     if p.stoch is not None:
-        return stochastic_process(inp, out, np.kron(p.stoch, q.stoch), tol=tol)
-    ops = [np.kron(a, b) for a in p.kraus for b in q.kraus]
-    return kraus_process(inp, out, ops, tol=tol)
+        return _stoch_rep(inp, out, np.kron(p.stoch, q.stoch), tol)
+    return _kraus_rep(inp, out, [np.kron(a, b) for a in p.kraus for b in q.kraus], tol)
 
 
 def lift(p: ProcessRep, anc: SystemDescriptor, *, tol: float = DEFAULT_TOL) -> ProcessRep:
@@ -805,6 +803,7 @@ def randomize(tests: Sequence[Test], probs: Sequence[float], *, tol: float = DEF
 
 def check_prob_vector(probs: Sequence[float], *, tol: float = DEFAULT_TOL) -> None:
     arr = np.asarray(probs, dtype=float)
+    _require_finite(arr, "probabilities")
     if arr.min(initial=0.0) < -tol:
         raise ValueError("probabilities must be nonnegative")
     if abs(arr.sum() - 1.0) > tol:

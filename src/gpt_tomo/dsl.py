@@ -24,15 +24,17 @@ Grammar::
 
 ``f . g`` runs ``g`` first (right-to-left application); ``||`` binds tighter
 than ``.``.  Diagnostics are positioned as ``file:line:col: message`` and
-parsing never panics on malformed input.  The conventional file extension is
-``.opt``.
+parsing never panics on malformed input.  Tokens carry their text offset;
+line and column are worked out only for a diagnostic or an AST position.
+The conventional file extension is ``.opt``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -82,48 +84,51 @@ class DslError(Exception):
 # Tokens
 # ---------------------------------------------------------------------------
 
+# Every match swallows the whitespace and comments before its token; "bad"
+# and "eof" make a match exist at every offset, so finditer skips nothing.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<par>\|\|)
-  | (?P<sym>[;,.=()\[\]])
+    (?:\s|\#[^\n]*)*
+    (?: (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<arrow>->)
+      | (?P<par>\|\|)
+      | (?P<sym>[;,.=()\[\]])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
+
+
+def _newlines(text: str) -> list[int]:
+    return [m.start() for m in re.finditer("\n", text)]
+
+
+def _line_col(newlines: list[int], offset: int) -> Pos:
+    """1-based line and column of a text offset, by bisection over its ``_newlines``."""
+    k = bisect_left(newlines, offset)
+    return k + 1, offset - (newlines[k - 1] if k else -1)
 
 
 def tokenize(text: str, filename: str = "<string>") -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col, filename)
+    """One ``finditer`` pass; the list ends with an ``eof`` token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        span = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, span, line, col))
-        newlines = span.count("\n")
-        if newlines:
-            line += newlines
-            col = len(span) - span.rfind("\n")
-        else:
-            col += len(span)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        tok = Token(kind, m[kind], m.start(kind))
+        if kind == "bad":
+            line, col = _line_col(_newlines(text), tok.offset)
+            raise DslError(f"unexpected character {tok.text!r}", line, col, filename)
+        tokens.append(tok)
+        if kind == "eof":
+            break
     return tokens
 
 
@@ -213,10 +218,14 @@ class CircuitAST:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    def __init__(self, text: str, filename: str):
+        self.tokens = tokenize(text, filename)
+        self.newlines = _newlines(text)
         self.filename = filename
         self.i = 0
+
+    def pos(self, tok: Token) -> Pos:
+        return _line_col(self.newlines, tok.offset)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -227,8 +236,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: Token | None = None) -> DslError:
-        tok = tok or self.peek()
-        return DslError(message, tok.line, tok.col, self.filename)
+        return DslError(message, *self.pos(tok or self.peek()), self.filename)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
@@ -237,6 +245,13 @@ class _Parser:
             shown = tok.text if tok.text else "end of input"
             raise self.error(f"expected {want!r}, found {shown!r}", tok)
         return self.next()
+
+    def comma_separated(self, item: Callable[[], Any]) -> list:
+        items = [item()]
+        while self.peek().text == ",":
+            self.next()
+            items.append(item())
+        return items
 
     def expect_ident(self, role: str = "identifier") -> Token:
         tok = self.peek()
@@ -294,28 +309,21 @@ class _Parser:
             if d < 1:
                 raise self.error("system dimension must be positive", dim)
             self.expect("sym", ";")
-            return SystemDecl(name.text, backend.text, d, (start.line, start.col))
+            return SystemDecl(name.text, backend.text, d, self.pos(start))
         self.expect("ident", "on")
-        first = self.parse_syslist()
+        ins, outs = self.parse_syslist(), ()
         if head == "proc":
             self.expect("arrow")
-            second = self.parse_syslist()
-            ins, outs = first, second
+            outs = self.parse_syslist()
         elif head == "state":
-            ins, outs = (), first
-        else:
-            ins, outs = first, ()
+            ins, outs = (), ins
         self.expect("sym", "=")
         lit = self.parse_literal()
         self.expect("sym", ";")
-        return ValueDecl(head, name.text, ins, outs, lit, (start.line, start.col))
+        return ValueDecl(head, name.text, ins, outs, lit, self.pos(start))
 
     def parse_syslist(self) -> tuple[str, ...]:
-        names = [self.expect_ident("system name").text]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.next()
-            names.append(self.expect_ident("system name").text)
-        return tuple(names)
+        return tuple(self.comma_separated(lambda: self.expect_ident("system name").text))
 
     def parse_literal(self) -> Literal:
         tok = self.peek()
@@ -327,10 +335,7 @@ class _Parser:
         if tok.text == "kraus":
             self.next()
             self.expect("sym", "[")
-            mats = [self.parse_matrix(complex_ok=True)]
-            while self.peek().text == ",":
-                self.next()
-                mats.append(self.parse_matrix(complex_ok=True))
+            mats = self.comma_separated(lambda: self.parse_matrix(complex_ok=True))
             self.expect("sym", "]")
             return KrausLit(tuple(mats))
         if tok.text == "stoch":
@@ -343,29 +348,41 @@ class _Parser:
 
     def parse_matrix(self, complex_ok: bool) -> tuple[tuple[complex, ...], ...]:
         self.expect("sym", "[")
-        rows = [self.parse_row(complex_ok)]
-        while self.peek().text == ",":
-            self.next()
-            rows.append(self.parse_row(complex_ok))
+        rows = self.comma_separated(lambda: self.parse_row(complex_ok))
         self.expect("sym", "]")
         if len({len(r) for r in rows}) != 1:
             raise self.error("matrix rows have unequal lengths")
         return tuple(rows)
 
     def parse_row(self, complex_ok: bool) -> tuple[complex, ...]:
+        """Plain and ``[re, im]`` entries are read in a local loop; anything else goes to ``parse_entry``."""
         self.expect("sym", "[")
-        entries = [self.parse_entry(complex_ok)]
-        while self.peek().text == ",":
-            self.next()
-            entries.append(self.parse_entry(complex_ok))
+        toks, i, entries = self.tokens, self.i, []
+        while True:
+            kind, text, _ = toks[i]
+            if kind == "number":
+                entries.append(complex(float(text)))
+                i += 1
+            elif (  # short-circuits before it could look past the eof token
+                complex_ok and text == "[" and toks[i + 1].kind == "number" and toks[i + 2].text == ","
+                and toks[i + 3].kind == "number" and toks[i + 4].text == "]"
+            ):
+                entries.append(complex(float(toks[i + 1].text), float(toks[i + 3].text)))
+                i += 5
+            else:
+                self.i = i
+                entries.append(self.parse_entry(complex_ok))
+                i = self.i
+            if toks[i].text != ",":
+                break
+            i += 1
+        self.i = i
         self.expect("sym", "]")
         return tuple(entries)
 
     def parse_entry(self, complex_ok: bool) -> complex:
+        """An entry that ``parse_row`` could not read as a number or a well-formed pair."""
         tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            return complex(float(tok.text))
         if tok.kind == "sym" and tok.text == "[":
             if not complex_ok:
                 raise self.error("stochastic entries must be plain numbers", tok)
@@ -384,7 +401,7 @@ class _Parser:
         while self.peek().kind == "sym" and self.peek().text == ".":
             op = self.next()
             right = self.parse_par()
-            node = Seq(node, right, (op.line, op.col))
+            node = Seq(node, right, self.pos(op))
         return node
 
     def parse_par(self) -> Expr:
@@ -392,7 +409,7 @@ class _Parser:
         while self.peek().kind == "par":
             op = self.next()
             right = self.parse_atom()
-            node = Par(node, right, (op.line, op.col))
+            node = Par(node, right, self.pos(op))
         return node
 
     def parse_atom(self) -> Expr:
@@ -407,17 +424,17 @@ class _Parser:
             self.expect("sym", "[")
             name = self.expect_ident("system name")
             self.expect("sym", "]")
-            return Ident(name.text, (tok.line, tok.col))
+            return Ident(name.text, self.pos(tok))
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.next()
-            return Atom(tok.text, (tok.line, tok.col))
+            return Atom(tok.text, self.pos(tok))
         shown = tok.text if tok.text else "end of input"
         raise self.error(f"expected an expression, found {shown!r}", tok)
 
 
 def parse(text: str, filename: str = "<string>") -> CircuitAST:
     """Parse a program, raising a positioned ``DslError`` on malformed input."""
-    return _Parser(tokenize(text, filename), filename).parse_program()
+    return _Parser(text, filename).parse_program()
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +473,16 @@ def _print_expr(expr: Expr, parent: str = "") -> str:
         text = f"{_print_expr(expr.left, 'seq')} . {_print_expr(expr.right, 'seq-right')}"
         return f"({text})" if parent in ("par", "seq-right") else text
     text = f"{_print_expr(expr.left, 'par')} || {_print_expr(expr.right, 'par-right')}"
-    if parent in ("par-right",):
-        return f"({text})"
-    return text
+    return f"({text})" if parent == "par-right" else text
 
 
 def pretty(ast: CircuitAST) -> str:
     lines = []
     for s in ast.systems:
         lines.append(f"system {s.name} {s.backend} {s.dim};")
-    for v in ast.values:
-        lit = _print_literal(v.literal)
-        if v.role == "state":
-            lines.append(f"state {v.name} on {', '.join(v.out_systems)} = {lit};")
-        elif v.role == "effect":
-            lines.append(f"effect {v.name} on {', '.join(v.in_systems)} = {lit};")
-        else:
-            ins = ", ".join(v.in_systems)
-            outs = ", ".join(v.out_systems)
-            lines.append(f"proc {v.name} on {ins} -> {outs} = {lit};")
+    for v in ast.values:  # states have no inputs, effects no outputs, processes both
+        wires = " -> ".join(", ".join(w) for w in (v.in_systems, v.out_systems) if w)
+        lines.append(f"{v.role} {v.name} on {wires} = {_print_literal(v.literal)};")
     lines.append(f"run {_print_expr(ast.run)}")
     return "\n".join(lines) + "\n"
 
@@ -619,15 +627,12 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
     """Contract the run expression; a closed diagram yields a probability."""
     cache: dict[str, ProcessRep] = {}
 
-    def atom_value(name: str, pos: Pos) -> ProcessRep:
-        if name not in cache:
-            cache[name] = _build_value(prog, prog.values[name], tol)
-        return cache[name]
-
     def run(t: TypedExpr) -> ProcessRep:
         node = t.node
         if isinstance(node, Atom):
-            return atom_value(node.name, node.pos)
+            if node.name not in cache:
+                cache[node.name] = _build_value(prog, prog.values[node.name], tol)
+            return cache[node.name]
         if isinstance(node, Ident):
             return identity_process(prog.systems[node.system])
         left, right = (run(ch) for ch in t.children)
@@ -647,7 +652,7 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
         if scalar < -tol or scalar > 1.0 + max(tol, 1e-9):
             raise DslError(
                 f"closed diagram evaluated outside [0, 1]: {scalar}",
-                *_pos_of(prog.run.node),
+                *prog.run.node.pos,
                 prog.filename,
             )
         return EvalResult("scalar", scalar)
@@ -662,10 +667,6 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
             )
         return EvalResult("effect", eff)
     return EvalResult("process", proc)
-
-
-def _pos_of(node: Expr) -> Pos:
-    return node.pos
 
 
 def run_program(text: str, filename: str = "<string>", tol: float = DEFAULT_TOL) -> EvalResult:

@@ -1,3 +1,7 @@
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,16 @@ PSI_MINUS = (np.kron(KET0, KET1) - np.kron(KET1, KET0)) / np.sqrt(2.0)
 
 def proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A benchmark workload module, imported as the benchmark imports it; nothing there is edited."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)
 
 
 def basis_processes(basis):

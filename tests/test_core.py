@@ -225,6 +225,7 @@ def test_state_cone_membership_enforced(qubit, bit):
 
 C2, Q1, Q2, R2 = system(CLASSICAL, 2), system(QUANTUM, 1), system(QUANTUM, 2), system(REAL, 2)
 NAN, INF = np.nan, np.inf
+_C2_STATE = c.state_from_coords(C2, [1.0, 0.0])
 NON_FINITE = [
     pytest.param("state", lambda: c.state_from_coords(C2, [NAN, 0.5]), id="classical-state-nan"),
     pytest.param("state", lambda: c.state_from_coords(Q2, [0.5, 0.5, NAN, 0.0]), id="quantum-state-nan"),
@@ -235,6 +236,12 @@ NON_FINITE = [
     pytest.param("Kraus", lambda: c.kraus_process(Q1, Q2, [[[NAN], [0.0]]]), id="kraus-nan"),
     pytest.param("Kraus", lambda: c.kraus_process(Q2, Q2, [np.diag([1e999, 1.0])]), id="kraus-inf"),
     pytest.param("Kraus", lambda: c.kraus_process(R2, R2, [np.eye(2), np.diag([INF, 0.0])]), id="real-kraus-inf-second"),
+    pytest.param("probabilities", lambda: c.mixture([_C2_STATE] * 2, [NAN, 1.0]), id="mixture-nan"),
+    pytest.param(
+        "probabilities",
+        lambda: c.randomize([c.preparation_test([_C2_STATE])] * 2, [NAN, 1.0]),
+        id="randomize-nan",
+    ),
 ]
 
 
@@ -243,6 +250,58 @@ def test_non_finite_entries_rejected(what, build):
     # NaN fails every `x < -tol` guard, so each constructor checks finiteness first
     with pytest.raises(ValueError, match=f"{what} .*must be finite"):
         build()
+
+
+def test_check_prob_vector_rejects_nan():
+    # NaN passed both the sign and the sum guard, and mixture then blamed the state coordinates
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        c.check_prob_vector([NAN])
+
+
+# One flag rule, max|. - target| <= tol, with no relative slack: a deviation
+# of 5e-6 is far outside tol = 1e-9 and must not read as deterministic.
+SHORT = 1.0 - 5e-6
+
+
+def test_kraus_flags_have_no_relative_slack(qubit):
+    p = c.kraus_process(qubit, qubit, [np.sqrt(SHORT) * np.eye(2)])
+    assert not p.deterministic and not p.reversible
+
+
+def test_effect_kind_has_no_relative_slack(qubit):
+    assert c.effect_from_matrix(qubit, SHORT * np.eye(2)).kind == "general"
+
+
+def test_classical_flags_have_no_relative_slack(bit):
+    p = c.stochastic_process(bit, bit, SHORT * np.eye(2))
+    assert not p.deterministic and not p.reversible
+    assert c.effect_from_coords(bit, [SHORT, SHORT]).kind == "general"
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+def test_flag_boundary_is_tol(backend):
+    # deviations of 0.999 tol keep the flag, 1.001 tol drop it
+    tol, sys = c.DEFAULT_TOL, system(backend, 2)
+    for scale, expected in ((0.999, True), (1.001, False)):
+        w = 1.0 - scale * tol
+        if backend == CLASSICAL:
+            p = c.stochastic_process(sys, sys, w * np.eye(2))
+            e = c.effect_from_coords(sys, [w, w])
+        else:
+            p = c.kraus_process(sys, sys, [np.sqrt(w) * np.eye(2)])
+            e = c.effect_from_matrix(sys, w * np.eye(2))
+        assert (p.deterministic, e.kind == "deterministic") == (expected, expected), scale
+        if backend != CLASSICAL:  # K K^dag = w I sits at the same distance; M M^T = w^2 I twice as far
+            assert p.reversible is expected, scale
+
+
+def test_composites_flag_by_the_same_rule(qubit):
+    # compose and tensor_processes skip validation but not the flag rule
+    short = c.kraus_process(qubit, qubit, [np.sqrt(SHORT) * np.eye(2)])
+    unit = c.identity_process(qubit)
+    for p in (c.compose(unit, short), c.compose(short, unit), c.tensor_processes(short, unit)):
+        assert not p.deterministic and not p.reversible
+    assert c.compose(unit, unit).reversible and c.tensor_processes(unit, unit).reversible
 
 
 def test_real_backend_rejects_complex_states(rebit):

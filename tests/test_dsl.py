@@ -243,15 +243,15 @@ def test_deep_chain_keeps_minimal_kraus_lists(monkeypatch):
     lines.append("run " + " . ".join(f"c{i}" for i in reversed(range(12))) + " . rho")
 
     largest = [0]
-    kraus_process = c.kraus_process
+    kraus_rep = c._kraus_rep
 
-    def counting(inp, out, kraus, **kw):
+    def counting(inp, out, kraus, *rest):
         kraus = list(kraus)
         if sys._getframe(1).f_code is c.compose.__code__:
             largest[0] = max(largest[0], len(kraus))
-        return kraus_process(inp, out, kraus, **kw)
+        return kraus_rep(inp, out, kraus, *rest)
 
-    monkeypatch.setattr(c, "kraus_process", counting)
+    monkeypatch.setattr(c, "_kraus_rep", counting)
     result = dsl.run_program("\n".join(lines))
     assert 0 < largest[0] <= 4
     assert result.kind == "state"

@@ -187,7 +187,8 @@ def _count_eigen_calls(monkeypatch):
     """Counts of ``eigh``/``eigvalsh`` calls from here on, process validation stubbed.
 
     Validation runs its own ``eigvalsh`` on the finished process; stubbing
-    ``kraus_process`` leaves only the conversion in the count.
+    ``kraus_process`` leaves only the conversion in the count.  ``compose``
+    does not validate its result, so the stub does not reach it.
     """
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
@@ -215,7 +216,7 @@ def test_each_conversion_runs_one_eigh(monkeypatch, backend):
     choi = c.choi(after.kraus)
     state = bk.random_state(a, rng)
     conversions = {
-        "compose": lambda: c.compose(after, before),
+        "compose": lambda: c.compose(after, before).kraus,
         "_kraus_from_choi": lambda: wt._kraus_from_choi(a, a, choi),
         "preparation_process": lambda: c.preparation_process(state),
     }
