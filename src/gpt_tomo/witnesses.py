@@ -1,9 +1,10 @@
 """Constructive witnesses: teleportation, universal extensions, purification.
 
-Every witness-producing function re-checks its output by an independent
-contraction before returning it, so a returned witness is already verified
-at the construction tolerance.  The ``*_check`` reports share the private
-build step and that residual, holding it to the stricter of the two bounds.
+Each witness family has one builder, and a builder returns its witness
+unverified.  A witness is verified where it is reported: by
+``verify_teleportation`` and ``verify_universal_extension``, and by the
+``*_check`` reports, which hold the family's one residual (the bent-wire
+residual for teleportation, ``_residual`` for the rest) to their own bounds.
 
 The chain realized here: a teleportation pair (Phi, E) with a cancellative
 scalar p turns Phi into the universal extension of a complete state chi,
@@ -56,22 +57,21 @@ from .tomography import equal_on_source, equal_processes, is_locally_tomographic
 # Conclusive teleportation
 # ---------------------------------------------------------------------------
 
-def _teleportation_pair(a: SystemDescriptor) -> tuple[StateVector, EffectVector, float]:
+def _teleportation_scalar(a: SystemDescriptor) -> float:
+    """The p of the canonical teleportation pair on A."""
     d = a.total_dim
-    p = 1.0 / d if a.backend == CLASSICAL else 1.0 / d**2
-    return bk.maximally_entangled_state(a), bk.maximally_entangled_effect(a), p
+    return 1.0 / d if a.backend == CLASSICAL else 1.0 / d**2
 
 
 def teleportation_witness(a: SystemDescriptor) -> tuple[StateVector, EffectVector, float]:
-    """A state on A (x) R, an effect on R (x) A and a scalar p realizing p * identity.
+    """A state on A (x) R, an effect on R (x) A and a scalar p meant to realize p * identity.
 
     Quantum family: the maximally entangled pair with p = 1/d^2.  Classical:
-    the perfect-copy state with the equality effect and p = 1/d.
+    the perfect-copy state with the equality effect and p = 1/d.  The pair is
+    returned unverified; ``verify_teleportation`` checks it.
     """
-    phi, effect, p = _teleportation_pair(a)
-    if not verify_teleportation(phi, effect, p):
-        raise AssertionError("teleportation witness failed its own contraction check")
-    return phi, effect, p
+    phi, effect = bk.maximally_entangled_state(a), bk.maximally_entangled_effect(a)
+    return phi, effect, _teleportation_scalar(a)
 
 
 def teleport_map(
@@ -99,15 +99,15 @@ def _teleportation_residual(
 def verify_teleportation(
     phi: StateVector, effect: EffectVector, p: float, tol: float = DEFAULT_TOL
 ) -> bool:
-    """Check the bent-wire identity rho -> p rho on a spanning family of inputs."""
-    return _teleportation_residual(phi, effect, p, tol=tol) <= tol
+    """Check the bent-wire identity rho -> p rho on a spanning family of inputs, with p > 0."""
+    return p > 0.0 and _teleportation_residual(phi, effect, p, tol=tol) <= tol
 
 
 def teleportation_check(
     backend: str, d: int, *, tol: float = DEFAULT_TOL, seed: int = 0
 ) -> CheckReport:
     """The bent-wire identity of the teleportation witness on ``system(backend, d)``."""
-    phi, effect, p = _teleportation_pair(system(backend, d))
+    phi, effect, p = teleportation_witness(system(backend, d))
     residual = _teleportation_residual(phi, effect, p, tol=min(tol, DEFAULT_TOL))
     passed = residual <= min(DEFAULT_TOL, max(tol, 1e-12))
     details = {"backend": backend, "d": d, "p": p, "max_residual": residual}
@@ -123,15 +123,14 @@ def chi_state(
 ) -> StateVector:
     """The complete state whose universal extension is the teleportation state.
 
-    Contract Phi (x) omega with the coarse-grained binary effect T = E + F on
-    (R, A'); with the deterministic T this is just the marginal of Phi.
+    This is the bent-wire map of Phi with the coarse-grained binary effect
+    T = E + F on (R, A') fed omega; with the deterministic T it is just the
+    marginal of Phi.
     """
-    big = tensor_states(phi, omega, tol=tol)
-    half = phi.system.n_factors // 2
-    on = list(range(half, big.system.n_factors))
     if t_effect is None:
-        t_effect = deterministic_effect(subsystem(big.system, on))
-    return contract(big, t_effect, on, tol=tol)
+        r_sys = subsystem(phi.system, range(phi.system.n_factors // 2, phi.system.n_factors))
+        t_effect = deterministic_effect(tensor_systems(r_sys, omega.system))
+    return teleport_map(phi, t_effect, omega, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +162,19 @@ def extension_from_teleportation(
     *,
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, ProcessRep]:
-    """Build (p, T) with p * Gamma = (I (x) T) Phi from a teleportation pair.
+    """Build (p, T) meant to satisfy p * Gamma = (I (x) T) Phi from a teleportation pair.
 
     ``T: R -> E`` contracts the teleportation effect against Gamma: feeding a
     reference state r, the effect absorbs (r, A-part of Gamma) and leaves the
-    E-part, scaled so the bent-wire identity turns Phi into p * Gamma.
+    E-part, scaled so the bent-wire identity turns Phi into p * Gamma.  The
+    witness is returned unverified; ``verify_universal_extension`` checks it.
     """
-    p, t_proc = _extension_from_teleportation(phi, effect, gamma, tol=tol)
-    if not verify_universal_extension(phi, gamma, p, t_proc, tol=np.sqrt(tol)):
-        raise AssertionError("teleportation-based extension witness failed verification")
-    return p, t_proc
-
-
-def _extension_from_teleportation(
-    phi: StateVector, effect: EffectVector, gamma: StateVector, *, tol: float
-) -> tuple[float, ProcessRep]:
     half = phi.system.n_factors // 2
     a = subsystem(phi.system, range(half))
     r_sys = subsystem(phi.system, range(half, phi.system.n_factors))
     env = SystemDescriptor(a.backend, gamma.system.dims[a.n_factors :])
     d = a.total_dim
-    p = 1.0 / d if a.backend == CLASSICAL else 1.0 / d**2
+    p = _teleportation_scalar(a)
 
     if a.backend == CLASSICAL:
         # T[e, r] = sum_a effect[(r, a)] gamma[(a, e)]
@@ -249,10 +240,10 @@ def universal_extension_check(
         raise UsageError(f"universal extension needs at least one sample, got {samples}")
     a = system(backend, d)
     omega = bk.complete_state(a)
-    phi, effect, p_tele = _teleportation_pair(a)
-    makers = {"teleportation": lambda g: _extension_from_teleportation(phi, effect, g, tol=tol)}
+    phi, effect, p_tele = teleportation_witness(a)
+    makers = {"teleportation": lambda g: extension_from_teleportation(phi, effect, g, tol=tol)}
     if a.backend != CLASSICAL:
-        makers["purification"] = lambda g: (1.0, _channel_from_purification(phi, g, tol=tol))
+        makers["purification"] = lambda g: (1.0, channel_from_purification(phi, g, tol=tol))
     apply_tol = min(sqrt(sqrt(tol)), DEFAULT_TOL)
     residuals = dict.fromkeys(makers, 0.0)
     ok = True
@@ -325,20 +316,12 @@ def _unitary_connecting(w1: np.ndarray, w2: np.ndarray, *, tol: float = DEFAULT_
 def connect_purifications(
     psi: StateVector, psi2: StateVector, *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
-    """Reversible U on the purifying system with (I (x) U) psi == psi2.
+    """U on the purifying system meant to be reversible with (I (x) U) psi == psi2.
 
     Both states must be pure with the same marginal on the first half of the
-    factors.  Raises when the marginals differ.
+    factors.  Raises when the marginals differ.  U is returned unverified:
+    ``purification_check`` reads its ``reversible`` flag and its residual.
     """
-    u_proc = _connecting_process(psi, psi2, tol=tol)
-    if not u_proc.reversible:
-        raise AssertionError("connecting transformation is not reversible")
-    if _residual(u_proc, psi, psi2, tol=np.sqrt(tol)) > np.sqrt(tol):
-        raise AssertionError("connecting symmetry failed its contraction check")
-    return u_proc
-
-
-def _connecting_process(psi: StateVector, psi2: StateVector, *, tol: float) -> ProcessRep:
     if psi.system != psi2.system:
         raise ValueError("purifications must live on the same composite")
     sys = psi.system
@@ -372,7 +355,7 @@ def purification_check(
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.real(np.diag(r)))
     psi2 = apply_to_factors(kraus_process(a, a, [q]), psi, a.n_factors)
-    u_proc = _connecting_process(psi, psi2, tol=tol)
+    u_proc = connect_purifications(psi, psi2, tol=tol)
     connect_dev = _residual(u_proc, psi, psi2, tol=min(sqrt(tol), DEFAULT_TOL))
     passed = (
         marginal_dev <= max(tol, 1e-12)
@@ -394,22 +377,16 @@ def purification_check(
 def channel_from_purification(
     psi: StateVector, gamma: StateVector, *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
-    """Deterministic T: R -> E with (I (x) T) Psi == Gamma, via the symmetry of purifications.
+    """Deterministic T: R -> E aiming at (I (x) T) Psi == Gamma, by the symmetry of purifications.
 
     Psi purifies its marginal on the first half of the factors (A) with R.
     Gamma's eigendecomposition gives a purification of Gamma with F a full
     copy of A (x) E; it and Psi purify the same marginal on A, so an isometry
     V: R -> E (x) F connects them (the reversible connection with a pure
     reference fed in).  Discarding F leaves the generating channel, one Kraus
-    operator per F basis vector.
+    operator per F basis vector.  T is returned unverified;
+    ``verify_universal_extension`` checks it with p = 1.
     """
-    t_proc = _channel_from_purification(psi, gamma, tol=tol)
-    if not verify_universal_extension(psi, gamma, 1.0, t_proc, tol=np.sqrt(tol)):
-        raise AssertionError("purification-based channel failed verification")
-    return t_proc
-
-
-def _channel_from_purification(psi: StateVector, gamma: StateVector, *, tol: float) -> ProcessRep:
     a = subsystem(psi.system, range(psi.system.n_factors // 2))
     r_sys = subsystem(psi.system, range(a.n_factors, psi.system.n_factors))
     if gamma.system.dims[: a.n_factors] != a.dims:
@@ -442,24 +419,15 @@ def preparationally_faithful_witness(
     side: str = "second",
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, ProcessRep]:
-    """(p, S) with p * target == (I (x) S) Phi, S acting on the chosen factor block.
+    """(p, S) meant to satisfy p * target == (I (x) S) Phi, S acting on the chosen factor block.
 
     Phi must be the canonical maximally correlated state on A (x) A.  For a
     pure target with coefficient matrix c the witness is the single Kraus
     operator carrying c, scaled by the top singular value; mixed targets
     eigendecompose and share one scalar across branches, fixed by the
-    largest-branch normalization.
+    largest-branch normalization.  The witness is returned unverified;
+    ``is_doubly_preparationally_faithful`` checks it with ``_residual``.
     """
-    p, witness = _prep_witness(phi, target, side=side, tol=tol)
-    start = None if side == "second" else 0
-    if _residual(witness, phi, target, p, start=start, tol=np.sqrt(tol)) > np.sqrt(tol):
-        raise AssertionError("preparational witness failed its contraction check")
-    return p, witness
-
-
-def _prep_witness(
-    phi: StateVector, target: StateVector, *, side: str, tol: float
-) -> tuple[float, ProcessRep]:
     a = subsystem(phi.system, [0])
     d = a.total_dim
     if target.weight <= tol:
@@ -511,27 +479,25 @@ def is_doubly_preparationally_faithful(
     """
     rng = np.random.default_rng(seed)
     phi = bk.maximally_entangled_state(a)
+    aa, ab = tensor_systems(a, a), tensor_systems(a, b)
+    # "from A to A" once more with witnesses on the first factor (the classical
+    # witness has only the second); the report's maximum covers the second factor
+    first = "first" if a.backend != CLASSICAL else "second"
     max_residual = 0.0
     ok = True
-    for comp in (tensor_systems(a, a), tensor_systems(a, b)):
+    for comp, side, reported in ((aa, "second", True), (ab, "second", True), (aa, first, False)):
         for _ in range(samples):
             target = bk.random_state(comp, rng)
             try:
-                p, witness = _prep_witness(phi, target, side="second", tol=tol)
-                residual = _residual(witness, phi, target, p, tol=np.sqrt(tol))
+                p, witness = preparationally_faithful_witness(phi, target, side=side, tol=tol)
+                start = 0 if side == "first" else None
+                residual = _residual(witness, phi, target, p, start=start, tol=np.sqrt(tol))
             except ValueError:
                 ok = False
                 continue
             ok = ok and residual <= sqrt(tol)
-            max_residual = max(max_residual, residual)
-    # "from A to A": witnesses acting on the first factor
-    for _ in range(samples):
-        target = bk.random_state(tensor_systems(a, a), rng)
-        side = "first" if a.backend != CLASSICAL else "second"
-        try:
-            preparationally_faithful_witness(phi, target, side=side, tol=tol)
-        except (ValueError, AssertionError):
-            ok = False
+            if reported:
+                max_residual = max(max_residual, residual)
 
     lt_report = is_locally_tomographic(a, b, tol=tol)
     details = {
@@ -539,18 +505,17 @@ def is_doubly_preparationally_faithful(
         "witness_max_residual": max_residual,
         "local_tomography_pass": lt_report.passed,
     }
-    if a.backend == REAL:
+    if a.backend == REAL and a.total_dim == 2:
         from .rebit import rebit_processes
 
-        if a.total_dim == 2:
-            p1, p2 = rebit_processes()
-            src = bk.spanning_states(a)
-            source = randomize(
-                [preparation_test([s]) for s in src], [1.0 / len(src)] * len(src)
-            )
-            details["standard_tomography_fails"] = bool(
-                equal_on_source(p1, p2, source, tol) and not equal_processes(p1, p2, tol)
-            )
+        p1, p2 = rebit_processes()
+        src = bk.spanning_states(a)
+        source = randomize(
+            [preparation_test([s]) for s in src], [1.0 / len(src)] * len(src)
+        )
+        details["standard_tomography_fails"] = bool(
+            equal_on_source(p1, p2, source, tol) and not equal_processes(p1, p2, tol)
+        )
     return CheckReport(
         check="doubly-preparationally-faithful",
         passed=ok,

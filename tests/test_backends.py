@@ -26,6 +26,13 @@ def test_qubit_spanning_states_have_full_gram_rank(qubit):
     assert np.linalg.matrix_rank(gram, tol=1e-9) == 4
 
 
+@pytest.mark.parametrize("ratio,rank", [(0.5e-9, 1), (2e-9, 2)])
+def test_matrix_rank_cutoff_is_relative_1e_9(ratio, rank):
+    # sigma / sigma_1 below the 1e-9 cutoff is dropped, above it kept
+    for top in (1.0, 1e6):
+        assert bk.matrix_rank(np.diag([top, ratio * top, 0.0])) == rank
+
+
 def test_rebit_spanning_states_have_rank_three(rebit):
     states = bk.spanning_states(rebit)
     assert len(states) == 3

@@ -155,7 +155,7 @@ def test_kraus_from_choi_matches_its_former_body(monkeypatch, backend, din, dout
 
     monkeypatch.setattr(wt, "_kraus_from_choi", capture)
     gamma = bk.random_extension(bk.complete_state(a), b, rng)
-    wt._extension_from_teleportation(phi, effect, gamma, tol=c.DEFAULT_TOL)
+    wt.extension_from_teleportation(phi, effect, gamma, tol=c.DEFAULT_TOL)
     monkeypatch.undo()
     chois = [seen[-1]]
     for n_ops, rank in [(2, None), (3, 1)]:

@@ -8,10 +8,13 @@ workload modules are imported as they are, never modified.
 
 import pytest
 
+from gpt_tomo import witnesses as wt
+
 from conftest import perfbench_module
 
 small = perfbench_module("small")
 circuits = perfbench_module("circuits")
+tracer = perfbench_module("tracer")
 
 # the two draws small.generate rejects itself; seed 79 hits the second
 DRAW_GUARDS = (
@@ -50,3 +53,19 @@ def test_one_cycle_verifies(warmed, module):
         if why:
             failures.append(f"{check.name}: {why}")
     assert failures == []
+
+
+def test_witness_spans_count_the_checks_builders():
+    # the reports call the public builders, which are what the spans wrap
+    t = tracer.Tracer()
+    t.install()
+    try:
+        wt.universal_extension_check("quantum", 3, samples=2)
+        wt.purification_check("quantum", 3)
+    finally:
+        t.uninstall()
+    summary = t.summary()
+    assert summary["calls"].get("witnesses.extension", 0) > 0
+    assert summary["calls"].get("witnesses.purification", 0) > 0
+    # the dense bases are gone from core; every other wrapped name resolves
+    assert summary["missing"] == ["gpt_tomo.core.hermitian_basis", "gpt_tomo.core.symmetric_basis"]

@@ -94,6 +94,25 @@ def test_contains_infeasible_on_support_violation(qubit):
     assert tm.contains(zero, plus) is None
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("factor,feasible", [(0.9, True), (1.1, False)])
+def test_contains_support_test_is_at_sqrt_tol(backend, factor, feasible):
+    # rho's eigenvalue 0.5 tol puts |1> in its kernel; sigma's weight there is
+    # just below or just above sqrt(tol), so only the support test decides
+    a = system(backend, 2)
+    tol = c.DEFAULT_TOL
+    weight = factor * np.sqrt(tol)
+    rho = c.state_from_matrix(a, np.diag([1.0 - 0.5 * tol, 0.5 * tol]))
+    sigma = c.state_from_matrix(a, np.diag([1.0 - weight, weight]))
+    found = tm.contains(rho, sigma, tol=tol)
+    if feasible:
+        p, tau = found
+        assert tol < p < 1e-4
+        assert tau.kind == "deterministic"
+    else:
+        assert found is None
+
+
 def test_contains_classical(bit):
     rho = c.state_from_coords(bit, [0.7, 0.3])
     point = c.state_from_coords(bit, [1.0, 0.0])

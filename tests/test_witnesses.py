@@ -51,9 +51,14 @@ def test_qubit_teleport_map_against_direct_contraction(qubit):
     assert np.abs(out.matrix - expected).max() < 1e-14
 
 
-def test_wrong_scalar_fails_verification(qubit):
+def test_wrong_scalar_fails_verification(qubit, bit):
     phi, effect, _ = wt.teleportation_witness(qubit)
     assert not wt.verify_teleportation(phi, effect, 0.5)
+    # the zero effect realizes 0 * identity exactly, but p = 0 teleports nothing
+    for a in (qubit, bit):
+        phi, effect, _ = wt.teleportation_witness(a)
+        zero = c.effect_from_coords(effect.system, np.zeros(effect.system.effect_dim))
+        assert not wt.verify_teleportation(phi, zero, 0.0)
 
 
 def test_deterministic_effect_is_not_a_teleportation_effect(qubit):
@@ -192,7 +197,7 @@ def test_teleportation_choi_matches_kron_loop_bit_for_bit(monkeypatch, backend, 
     monkeypatch.setattr(wt, "_kraus_from_choi", capture)
     for seed in range(3):
         gamma = bk.random_extension(bk.complete_state(a), a, seed)
-        wt._extension_from_teleportation(phi, effect, gamma, tol=1e-9)
+        wt.extension_from_teleportation(phi, effect, gamma, tol=1e-9)
         assert np.array_equal(seen[-1], _choi_by_kron_loop(effect, gamma, d))
 
 
@@ -362,7 +367,7 @@ def test_channel_from_purification_matches_d4_unitary(backend, d):
             (bk.maximally_entangled_state(a), bk.random_extension(bk.complete_state(a), a, seed)),
             (bk.purify(rho), bk.random_extension(rho, a, seed)),
         ]:
-            t_proc = wt._channel_from_purification(psi, gamma, tol=1e-9)
+            t_proc = wt.channel_from_purification(psi, gamma, tol=1e-9)
             expected = _channel_by_d4_unitary(psi, gamma)
             assert np.abs(bk.process_coords(t_proc) - bk.process_coords(expected)).max() <= 1e-12
 
@@ -380,7 +385,7 @@ def test_channel_from_purification_builds_no_d4_array(monkeypatch):
     monkeypatch.setattr(bk, "purify", no_purify)
     tracemalloc.start()
     try:
-        t_proc = wt._channel_from_purification(phi, gamma, tol=1e-9)
+        t_proc = wt.channel_from_purification(phi, gamma, tol=1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,3 +558,78 @@ def test_universal_extension_check_runs_no_bent_wire_map(monkeypatch):
     rep = wt.universal_extension_check(QUANTUM, 3, samples=1)
     assert rep.passed
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# negative controls: each report fails on a wrong witness from its builder
+# ---------------------------------------------------------------------------
+
+def test_teleportation_check_fails_on_a_wrong_scalar(monkeypatch):
+    build = wt.teleportation_witness
+
+    def off(a):
+        phi, effect, p = build(a)
+        return phi, effect, p * (1.0 + 1e-6)
+
+    monkeypatch.setattr(wt, "teleportation_witness", off)
+    rep = wt.teleportation_check(QUANTUM, 2)
+    assert rep.passed is False
+    assert rep.details["max_residual"] == pytest.approx(2.5e-7, rel=1e-3)
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_universal_extension_check_fails_on_a_dropped_kraus_operator(monkeypatch, backend):
+    build = wt.extension_from_teleportation
+
+    def dropped(*args, **kwargs):
+        p, t_proc = build(*args, **kwargs)
+        return p, c.kraus_process(t_proc.input, t_proc.output, t_proc.kraus[1:])
+
+    monkeypatch.setattr(wt, "extension_from_teleportation", dropped)
+    rep = wt.universal_extension_check(backend, 2, samples=2)
+    assert rep.passed is False
+    assert rep.details["teleportation_max_residual"] > 0.05
+    assert rep.details["purification_max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_purification_check_fails_on_a_halved_connection(monkeypatch, backend):
+    build = wt.connect_purifications
+
+    def halved(*args, **kwargs):
+        u = build(*args, **kwargs)
+        return c.kraus_process(u.input, u.output, [0.5 * u.kraus[0]])
+
+    monkeypatch.setattr(wt, "connect_purifications", halved)
+    rep = wt.purification_check(backend, 2)
+    assert rep.passed is False
+    assert rep.details["connection_reversible"] is False
+    assert rep.details["connection_max_deviation"] > 0.4
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_purification_check_fails_on_a_reversible_but_wrong_connection(monkeypatch, backend):
+    def identity(psi, psi2, **kwargs):
+        return c.identity_process(c.subsystem(psi.system, [1]))
+
+    monkeypatch.setattr(wt, "connect_purifications", identity)
+    rep = wt.purification_check(backend, 2)
+    assert rep.passed is False
+    assert rep.details["connection_reversible"] is True
+    assert rep.details["connection_max_deviation"] > 0.05
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+def test_doubly_prep_faithful_fails_on_a_wrong_scalar(monkeypatch, backend):
+    build = wt.preparationally_faithful_witness
+
+    def off(*args, **kwargs):
+        p, s_proc = build(*args, **kwargs)
+        return p * (1.0 + 1e-3), s_proc
+
+    monkeypatch.setattr(wt, "preparationally_faithful_witness", off)
+    a = system(backend, 2)
+    rep = wt.is_doubly_preparationally_faithful(a, a, seed=0)
+    assert rep.passed is False
+    # judged at sqrt(tol), about 3.2e-5
+    assert rep.details["witness_max_residual"] > 1e-4
