@@ -229,12 +229,21 @@ def process_space_basis(a: SystemDescriptor, b: SystemDescriptor) -> ProcessSpac
 
 def matrix_rank(mat: np.ndarray, *, rel_tol: float = 1e-9) -> int:
     """Rank with a singular-value cutoff relative to the largest singular value."""
-    if mat.size == 0:
+    return sector_rank([(1, mat)], rel_tol=rel_tol)
+
+
+def sector_rank(sectors: list[tuple[int, np.ndarray]], *, rel_tol: float = 1e-9) -> int:
+    """Sum of weight * rank over (weight, matrix) pairs, cut against one scale.
+
+    The cutoff is ``rel_tol`` times the largest singular value over every
+    sector of nonzero weight: a sector that vanishes up to round-off (about
+    1e-17) would read as rank 1 against its own largest singular value.
+    """
+    svals = [(w, np.linalg.svd(m, compute_uv=False)) for w, m in sectors if w and m.size]
+    top = max((s[0] for _, s in svals), default=0.0)
+    if top == 0.0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return sum(w * int(np.sum(s > rel_tol * top)) for w, s in svals)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .core import (
     tensor_systems,
 )
 from .reports import CheckReport
-from .tomography import lifting_matrix
+from .tomography import lifting_rank
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -140,8 +140,7 @@ def counterexample_report(
             prod_effect = tensor_effects(ea, eb)
             local_gap = max(local_gap, abs(pair(prod_effect, out1) - pair(prod_effect, out2)))
 
-    basis = bk.process_space_basis(REBIT, REBIT)
-    rank = bk.matrix_rank(lifting_matrix(bell, REBIT, basis))
+    rank = lifting_rank(bell, REBIT, REBIT)
 
     return CounterexampleReport(
         max_local_deviation=dev,

@@ -11,8 +11,11 @@ The four levels of identifying a process, from weakest to strongest:
 Tomographic ordering compares bipartite states by the kernels of their
 lifting maps: ``Phi >= Psi`` when processes indistinguishable on Phi are
 indistinguishable on Psi.  A state is dynamically faithful when its lifting
-map is injective on the operational span of processes, i.e. the lifting
-matrix has full rank against the process-space dimension.
+map is injective on the operational span of processes, i.e. its rank equals
+the process-space dimension.  The lifting map is I_B (x) S_phi for a
+d_ref^2 x d_in^2 reshuffle S_phi of phi, so every rank is decided on S_phi
+per sector against one scale; ``lifting_matrix`` is the definition, kept as
+the tests' differential oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import backends as bk
 from .core import (
     CLASSICAL,
     DEFAULT_TOL,
+    QUANTUM,
     ProcessRep,
     StateVector,
     SystemDescriptor,
@@ -230,6 +234,43 @@ def lifting_matrix(
     return np.stack([matrix_to_coords(out, w @ w.conj().T) for w in ws], axis=1)
 
 
+def _lifting_sectors(
+    phi: StateVector, a: SystemDescriptor, b: SystemDescriptor
+) -> list[tuple[int, np.ndarray]]:
+    """(weight, matrix) pairs whose weighted ranks add up to the lifting rank.
+
+    The lifting map of phi on processes A -> B is I_B (x) S_phi, where
+    S_phi[(r, s), (i, j)] = phi[(i, r), (j, s)] is a d_ref^2 x d_in^2
+    reshuffle of phi that never involves d_out (D'Ariano & Lo Presti,
+    PRL 91, 047902 (2003)).  Quantum: d_out^2 copies of S_phi.  Real: the
+    symmetric Choi matrices split into Sym_B (x) Sym_A + Anti_B (x) Anti_A,
+    and S_phi commutes with the swap of the two A indices, so the sectors are
+    S_phi P_sym and S_phi P_anti with weights sym(d_out) and anti(d_out).
+    Classical: the lifting matrix is I_{d_out} (x) joint^T.
+    """
+    if a.backend != b.backend:
+        raise ValueError("process space needs matching backends")
+    k = a.n_factors
+    if phi.system.backend != a.backend or phi.system.dims[:k] != a.dims:
+        raise ValueError(f"state on {phi.system} does not start with input {a}")
+    din, dout = a.total_dim, b.total_dim
+    if a.backend == CLASSICAL:
+        return [(dout, phi.coords.reshape(din, -1).T)]
+    dref = phi.system.total_dim // din
+    s = phi.matrix.reshape(din, dref, din, dref).transpose(1, 3, 0, 2).reshape(dref * dref, -1)
+    if a.backend == QUANTUM:
+        return [(dout * dout, s)]
+    sym = (s + s.reshape(-1, din, din).transpose(0, 2, 1).reshape(s.shape)) / 2.0
+    return [(dout * (dout + 1) // 2, sym), (dout * (dout - 1) // 2, s - sym)]
+
+
+def lifting_rank(
+    phi: StateVector, a: SystemDescriptor, b: SystemDescriptor, *, rel_tol: float = 1e-9
+) -> int:
+    """Rank of the lifting map of phi on processes A -> B, decided per sector."""
+    return bk.sector_rank(_lifting_sectors(phi, a, b), rel_tol=rel_tol)
+
+
 def tomographically_geq(
     phi: StateVector,
     psi: StateVector,
@@ -238,20 +279,21 @@ def tomographically_geq(
     *,
     rel_tol: float = 1e-9,
 ) -> bool:
-    """Kernel inclusion ker M_phi <= ker M_psi via stacked-rank comparison."""
-    basis = bk.process_space_basis(a, b)
-    m_phi = lifting_matrix(phi, a, basis)
-    m_psi = lifting_matrix(psi, a, basis)
-    r_phi = bk.matrix_rank(m_phi, rel_tol=rel_tol)
-    return bk.matrix_rank(np.vstack([m_phi, m_psi]), rel_tol=rel_tol) == r_phi
+    """Kernel inclusion ker M_phi <= ker M_psi via stacked-rank comparison.
+
+    Both lifting maps act on the same input columns, so the comparison is made
+    sector by sector on the stacked reshuffles; the reference systems may differ.
+    """
+    sectors = _lifting_sectors(phi, a, b)
+    stacked = [(w, np.vstack([m, m2])) for (w, m), (_, m2) in zip(sectors, _lifting_sectors(psi, a, b))]
+    return bk.sector_rank(stacked, rel_tol=rel_tol) == bk.sector_rank(sectors, rel_tol=rel_tol)
 
 
 def is_dynamically_faithful(
     phi: StateVector, a: SystemDescriptor, b: SystemDescriptor, *, rel_tol: float = 1e-9
 ) -> bool:
     """The lifting map on phi is injective on the span of processes A -> B."""
-    basis = bk.process_space_basis(a, b)
-    return bk.matrix_rank(lifting_matrix(phi, a, basis), rel_tol=rel_tol) == basis.dim
+    return lifting_rank(phi, a, b, rel_tol=rel_tol) == tensor_systems(b, a).state_dim
 
 
 def faithful_state_check(
@@ -259,22 +301,23 @@ def faithful_state_check(
 ) -> CheckReport:
     """Lifting rank of ``find_faithful_state`` against the processes din -> dout.
 
-    The lifting-matrix SVD is the only rank decision; ``seed`` is only echoed
-    into the report.
+    The rank is decided on the reshuffle S_phi per sector, against one scale
+    (``_lifting_sectors``); no lifting matrix is built.  ``seed`` is only
+    echoed into the report.
     """
     a, b = system(backend, din), system(backend, dout)
-    basis = bk.process_space_basis(a, b)
+    span = tensor_systems(b, a).state_dim
     phi = find_faithful_state(a)
-    rank = bk.matrix_rank(lifting_matrix(phi, a, basis))
+    rank = lifting_rank(phi, a, b)
     details = {
         "backend": backend,
         "din": din,
         "dout": dout,
-        "process_span_dim": basis.dim,
+        "process_span_dim": span,
         "lifting_rank": rank,
         "reference_dim": list(phi.system.dims[a.n_factors :]),
     }
-    return CheckReport("dynamically-faithful", rank == basis.dim, tol, seed, details)
+    return CheckReport("dynamically-faithful", rank == span, tol, seed, details)
 
 
 def find_faithful_state(a: SystemDescriptor) -> StateVector:

@@ -33,6 +33,17 @@ def test_matrix_rank_cutoff_is_relative_1e_9(ratio, rank):
         assert bk.matrix_rank(np.diag([top, ratio * top, 0.0])) == rank
 
 
+def test_sector_rank_cuts_every_sector_against_one_scale():
+    # a sector at round-off level reads as rank 2 against its own top, 0 here
+    tiny = 1e-17 * np.eye(2)
+    assert bk.matrix_rank(tiny) == 2
+    assert bk.sector_rank([(3, np.eye(2)), (1, tiny)]) == 6
+    assert bk.sector_rank([(3, np.diag([1.0, 0.5e-9])), (1, 2e-9 * np.eye(2))]) == 5
+    # a sector of weight zero neither counts nor sets the scale
+    assert bk.sector_rank([(1, np.diag([1.0, 1e-7])), (0, 1e3 * np.eye(2))]) == 2
+    assert bk.sector_rank([(2, np.zeros((2, 2)))]) == 0
+
+
 def test_rebit_spanning_states_have_rank_three(rebit):
     states = bk.spanning_states(rebit)
     assert len(states) == 3

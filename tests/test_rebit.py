@@ -5,6 +5,7 @@ import pytest
 
 from gpt_tomo import backends as bk
 from gpt_tomo import core as c
+from gpt_tomo import rebit
 from gpt_tomo import tomography as tm
 from gpt_tomo.rebit import (
     REBIT,
@@ -134,3 +135,10 @@ def test_compressed_idempotent_composition_keeps_the_pair_apart():
         assert np.abs(out.coords - target.coords).max() < 1e-12
     assert trace_distance(*outs) == pytest.approx(1.0, abs=1e-9)
 
+
+def test_counterexample_check_fails_on_a_wrong_faithful_rank(monkeypatch):
+    monkeypatch.setattr(rebit, "lifting_rank", lambda *args, **kwargs: 9)
+    rep = rebit.counterexample_check()
+    assert rep.passed is False
+    assert rep.details["faithful_rank"] == 9
+    assert rep.details["max_local_deviation"] <= 1e-12

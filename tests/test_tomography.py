@@ -9,7 +9,7 @@ from gpt_tomo import backends as bk
 from gpt_tomo import core as c
 from gpt_tomo import tomography as tm
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system
-from gpt_tomo.rebit import rebit_processes
+from gpt_tomo.rebit import counterexample_report, rebit_processes
 
 from conftest import PHI_PLUS, basis_processes, proj
 
@@ -416,7 +416,7 @@ def test_lifting_matrix_builds_no_process(monkeypatch, backend):
     assert calls == []
 
 
-def test_faithful_check_runs_one_svd(monkeypatch):
+def _counting_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -424,11 +424,157 @@ def test_faithful_check_runs_one_svd(monkeypatch):
         calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
-    bk.process_space_basis.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_faithful_check_runs_one_svd(monkeypatch):
+    calls = _counting_svd(monkeypatch)
     report = tm.faithful_state_check(QUANTUM, 3, 3)
     assert report.passed and report.details["lifting_rank"] == 81
-    assert calls == [(81, 81)]
+    assert calls == [(9, 9)]
+
+
+def test_real_faithful_check_runs_one_svd_per_sector(monkeypatch):
+    calls = _counting_svd(monkeypatch)
+    report = tm.faithful_state_check(REAL, 3, 3)
+    assert report.passed and report.details["lifting_rank"] == 45
+    assert calls == [(9, 9), (9, 9)]
+
+
+def test_rank_decisions_build_no_lifting_matrix(monkeypatch, qubit):
+    calls = []
+    for mod, name in ((tm, "lifting_matrix"), (bk, "process_space_basis")):
+        original = getattr(mod, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    for backend in (QUANTUM, REAL, CLASSICAL):
+        assert tm.faithful_state_check(backend, 3, 2).passed
+    phi = tm.find_faithful_state(qubit)
+    prod = c.tensor_states(bk.complete_state(qubit), bk.complete_state(qubit))
+    assert tm.is_dynamically_faithful(phi, qubit, qubit)
+    assert tm.tomographically_geq(phi, prod, qubit, qubit)
+    assert not tm.is_dynamically_faithful(prod, qubit, qubit)
+    assert counterexample_report().faithful_rank == 10
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the sector route against the lifting matrix (differential oracle, N <= 81)
+# ---------------------------------------------------------------------------
+
+def _oracle_rank(phi, a, b):
+    return bk.matrix_rank(tm.lifting_matrix(phi, a, bk.process_space_basis(a, b)))
+
+
+def _grid_states(a, dref, rng):
+    """Mixed, product, separable, rank-1 and rank-2 states on a (x) ref; canonical when dref = d_in."""
+    ref = system(a.backend, dref)
+    comp = c.tensor_systems(a, ref)
+    prods = [c.tensor_states(bk.random_state(a, rng), bk.random_state(ref, rng)) for _ in range(3)]
+    states = [bk.random_state(comp, rng), prods[0], c.mixture(prods, [0.5, 0.3, 0.2])]
+    if a.backend == CLASSICAL:
+        points = rng.choice(comp.total_dim, size=min(2, comp.total_dim), replace=False)
+        for r in (1, len(points)):
+            coords = np.zeros(comp.total_dim)
+            coords[points[:r]] = rng.random(r) + 0.1
+            states.append(c.state_from_coords(comp, coords / coords.sum()))
+    else:
+        pures = [bk.random_pure_state(comp, rng) for _ in range(2)]
+        states += [pures[0], c.mixture(pures, [0.6, 0.4])]
+    if dref == a.total_dim:
+        states.append(tm.find_faithful_state(a))
+    return states
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+@pytest.mark.parametrize("din,dout", [(i, o) for i in (1, 2, 3) for o in (1, 2, 3)])
+def test_sector_route_matches_lifting_matrix(backend, din, dout):
+    a, b = system(backend, din), system(backend, dout)
+    basis = bk.process_space_basis(a, b)
+    rng = np.random.default_rng(10 * din + dout)
+    states, mats = [], []
+    for dref in sorted({1, 2, din, din + 1}):
+        for phi in _grid_states(a, dref, rng):
+            m = tm.lifting_matrix(phi, a, basis)
+            rank = bk.matrix_rank(m)
+            assert tm.lifting_rank(phi, a, b) == rank
+            assert tm.is_dynamically_faithful(phi, a, b) == (rank == basis.dim)
+            states.append(phi)
+            mats.append((m, rank))
+    # every ordered pair, reference dimensions equal or not
+    for phi, (m_phi, r_phi) in zip(states, mats):
+        for psi, (m_psi, _) in zip(states, mats):
+            expected = bk.matrix_rank(np.vstack([m_phi, m_psi])) == r_phi
+            assert tm.tomographically_geq(phi, psi, a, b) == expected
+    report = tm.faithful_state_check(backend, din, dout)
+    assert report.details["process_span_dim"] == basis.dim
+    assert report.details["lifting_rank"] == _oracle_rank(tm.find_faithful_state(a), a, b)
+
+
+def _schmidt_state(a, r, rng):
+    """A pure state on a (x) a of Schmidt rank r (quantum backend)."""
+    n = a.total_dim
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    weights = rng.random(r) + 0.1
+    vec = sum(w * np.kron(u[:, k], v[:, k]) for k, w in enumerate(weights / np.linalg.norm(weights)))
+    return c.state_from_vector(c.tensor_systems(a, a), vec)
+
+
+@pytest.mark.parametrize("d,r,rank", [(2, 1, 4), (2, 2, 16), (3, 1, 9), (3, 2, 36), (3, 3, 81)])
+def test_pure_state_lifting_rank_is_dout_squared_times_schmidt_rank_squared(d, r, rank):
+    a = system(QUANTUM, d)
+    phi = _schmidt_state(a, r, np.random.default_rng(r))
+    assert tm.lifting_rank(phi, a, a) == _oracle_rank(phi, a, a) == rank
+
+
+@pytest.mark.parametrize("d,rank,span", [(2, 9, 10), (3, 36, 45)])
+def test_real_separable_state_misses_the_antisymmetric_sector(d, rank, span):
+    """Product terms have S_phi P_anti = 0: the rank falls short by anti(d_out) * anti(d_in)."""
+    a = system(REAL, d)
+    rng = np.random.default_rng(d)
+    terms = [c.tensor_states(bk.random_state(a, rng), bk.random_state(a, rng)) for _ in range(40)]
+    phi = c.mixture(terms, [1.0 / 40] * 40)
+    assert tm.lifting_rank(phi, a, a) == _oracle_rank(phi, a, a) == rank
+    assert span - rank == (d * (d - 1) // 2) ** 2
+    assert not tm.is_dynamically_faithful(phi, a, a)
+
+
+def test_faithful_state_check_fails_on_a_schmidt_rank_two_state(monkeypatch):
+    a = system(QUANTUM, 3)
+    monkeypatch.setattr(tm, "find_faithful_state", lambda a: _schmidt_state(a, 2, np.random.default_rng(2)))
+    report = tm.faithful_state_check(QUANTUM, 3, 3)
+    assert report.passed is False
+    assert report.details["lifting_rank"] == 36
+    assert report.details["process_span_dim"] == 81
+
+
+def test_faithfulness_errors_are_unchanged(qubit, qutrit, rebit):
+    phi = tm.find_faithful_state(qubit)
+    phi3 = tm.find_faithful_state(qutrit)
+    phi_r = tm.find_faithful_state(rebit)
+    wrong_input = [
+        lambda: tm.is_dynamically_faithful(phi, qutrit, qutrit),
+        lambda: tm.tomographically_geq(phi, phi3, qutrit, qutrit),
+        lambda: tm.tomographically_geq(phi3, phi, qutrit, qutrit),
+        lambda: tm.is_dynamically_faithful(phi_r, qubit, qubit),
+        lambda: tm.tomographically_geq(phi, phi_r, qubit, qubit),
+        lambda: tm.tomographically_geq(phi_r, phi, qubit, qubit),
+    ]
+    for call in wrong_input:
+        with pytest.raises(ValueError, match=r"does not start with input"):
+            call()
+    for call in (
+        lambda: tm.is_dynamically_faithful(phi, qubit, rebit),
+        lambda: tm.tomographically_geq(phi, phi, qubit, rebit),
+    ):
+        with pytest.raises(ValueError, match="process space needs matching backends"):
+            call()
 
 
 def test_rebit_bell_is_faithful(rebit):
