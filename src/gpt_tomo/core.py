@@ -500,11 +500,7 @@ def trivial_state(backend: str) -> StateVector:
 def apply(p: ProcessRep, s: StateVector, *, tol: float = DEFAULT_TOL) -> StateVector:
     if p.input != s.system:
         raise ValueError(f"process expects input {p.input}, state lives on {s.system}")
-    if p.stoch is not None:
-        return state_from_coords(p.output, p.stoch @ s.coords, tol=tol)
-    mat = s.matrix
-    out = sum(k @ mat @ k.conj().T for k in p.kraus)
-    return state_from_matrix(p.output, out, tol=tol)
+    return apply_to_factors(p, s, 0, tol=tol)
 
 
 def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) -> ProcessRep:
@@ -574,7 +570,11 @@ def add_processes(procs: Sequence[ProcessRep], *, tol: float = DEFAULT_TOL) -> P
 def apply_to_factors(
     p: ProcessRep, s: StateVector, start: int, *, tol: float = DEFAULT_TOL
 ) -> StateVector:
-    """Apply ``p`` to the contiguous factor block of ``s`` beginning at ``start``."""
+    """Apply ``p`` to the contiguous factor block of ``s`` beginning at ``start``.
+
+    The one process action (``apply`` is its whole-system case): each operator
+    acts on the block's rows by ``_on_rows``, never as I (x) K (x) I.
+    """
     sys = s.system
     k = p.input.n_factors
     if p.backend != sys.backend or sys.dims[start : start + k] != p.input.dims:
@@ -582,17 +582,17 @@ def apply_to_factors(
             f"factors {start}..{start + k - 1} of {sys} do not match process input {p.input}"
         )
     left = prod(sys.dims[:start])
-    right = prod(sys.dims[start + k :])
     out_sys = SystemDescriptor(sys.backend, sys.dims[:start] + p.output.dims + sys.dims[start + k :])
     if p.stoch is not None:
-        big = np.kron(np.kron(np.eye(left), p.stoch), np.eye(right))
-        return state_from_coords(out_sys, big @ s.coords, tol=tol)
+        return state_from_coords(out_sys, _on_rows(p.stoch, s.coords[:, None], left).ravel(), tol=tol)
     mat = s.matrix
-    out = np.zeros((out_sys.total_dim, out_sys.total_dim), dtype=complex)
-    for k_op in p.kraus:
-        big = np.kron(np.kron(np.eye(left), k_op), np.eye(right))
-        out += big @ mat @ big.conj().T
+    out = sum(_on_rows(op, _on_rows(op, mat, left).conj().T, left).conj().T for op in p.kraus)
     return state_from_matrix(out_sys, out, tol=tol)
+
+
+def _on_rows(op: np.ndarray, mat: np.ndarray, left: int) -> np.ndarray:
+    """(I_left (x) op (x) I_right) @ mat by a reshape (Wood, Biamonte & Cory, QIC 15, 759 (2015))."""
+    return (op @ mat.reshape(left, op.shape[1], -1)).reshape(-1, mat.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .core import (
     ProcessRep,
     StateVector,
     apply,
+    apply_to_factors,
     kraus_process,
-    lift,
     pair,
     state_from_matrix,
     system,
@@ -126,8 +126,8 @@ def counterexample_report(
         dev = max(dev, float(np.linalg.norm(apply(p2, rho).matrix - mix)))
 
     bell = bk.maximally_entangled_state(REBIT)
-    out1 = apply(lift(p, REBIT), bell)
-    out2 = apply(lift(p2, REBIT), bell)
+    out1 = apply_to_factors(p, bell, 0)
+    out2 = apply_to_factors(p2, bell, 0)
     pauli_components(out1.matrix)  # asserts no odd-Y leakage
     pauli_components(out2.matrix)
 

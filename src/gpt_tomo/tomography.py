@@ -34,7 +34,7 @@ from .core import (
     SystemDescriptor,
     Test,
     apply,
-    lift,
+    apply_to_factors,
     matrix_to_coords,
     source_states,
     state_from_coords,
@@ -201,8 +201,7 @@ def equal_on_extensions(
     if rho.system != p.input:
         raise ValueError("reference state must live on the process input")
     gamma = canonical_extension(rho, tol=tol)
-    ref = SystemDescriptor(rho.system.backend, gamma.system.dims[rho.system.n_factors :])
-    return _states_close(apply(lift(p, ref), gamma), apply(lift(p2, ref), gamma), tol)
+    return _states_close(apply_to_factors(p, gamma, 0), apply_to_factors(p2, gamma, 0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +322,11 @@ def faithful_state_check(
 def find_faithful_state(a: SystemDescriptor) -> StateVector:
     """A dynamically faithful state for processes out of ``a``, any output.
 
-    Quantum family: the purification of the complete state, i.e. the
-    canonical maximally entangled state.  Classical: the perfectly
-    correlated copy state.
+    The canonical maximally entangled state on every backend: the complete
+    state's purification, formed without an ``eigh``, on the quantum family,
+    and the perfectly correlated copy state on the classical one.
     """
-    if a.backend == CLASSICAL:
-        return bk.maximally_entangled_state(a)
-    return bk.purify(bk.complete_state(a))
+    return bk.maximally_entangled_state(a)
 
 
 def is_locally_tomographic(
@@ -381,5 +378,4 @@ def equal_processes(p: ProcessRep, p2: ProcessRep, tol: float = DEFAULT_TOL) -> 
     """
     _check_same_type(p, p2)
     phi = find_faithful_state(p.input)
-    ref = SystemDescriptor(p.input.backend, phi.system.dims[p.input.n_factors :])
-    return _states_close(apply(lift(p, ref), phi), apply(lift(p2, ref), phi), tol)
+    return _states_close(apply_to_factors(p, phi, 0), apply_to_factors(p2, phi, 0), tol)

@@ -481,11 +481,11 @@ def is_doubly_preparationally_faithful(
     phi = bk.maximally_entangled_state(a)
     aa, ab = tensor_systems(a, a), tensor_systems(a, b)
     # "from A to A" once more with witnesses on the first factor (the classical
-    # witness has only the second); the report's maximum covers the second factor
+    # witness has only the second); the report's maximum covers every witness
     first = "first" if a.backend != CLASSICAL else "second"
     max_residual = 0.0
     ok = True
-    for comp, side, reported in ((aa, "second", True), (ab, "second", True), (aa, first, False)):
+    for comp, side in ((aa, "second"), (ab, "second"), (aa, first)):
         for _ in range(samples):
             target = bk.random_state(comp, rng)
             try:
@@ -496,8 +496,7 @@ def is_doubly_preparationally_faithful(
                 ok = False
                 continue
             ok = ok and residual <= sqrt(tol)
-            if reported:
-                max_residual = max(max_residual, residual)
+            max_residual = max(max_residual, residual)
 
     lt_report = is_locally_tomographic(a, b, tol=tol)
     details = {

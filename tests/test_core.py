@@ -1,6 +1,7 @@
 """Core algebra: pairing, composition, lifting, coarse-graining, marginals."""
 
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -552,6 +553,107 @@ def test_apply_to_factors_middle():
     out = c.apply_to_factors(flip, rho, 1)
     big = np.kron(np.kron(I2, np.array([[0, 1], [1, 0]])), I2)
     assert np.abs(out.matrix - big @ rho.matrix @ big.T).max() < 1e-12
+
+
+def _kron_apply_to_factors(p, s, start):
+    """The former body of ``apply_to_factors``: each operator padded to I (x) K (x) I.
+
+    Coordinates on the classical backend, the output matrix otherwise.
+    """
+    dims = s.system.dims
+    left, right = prod(dims[:start]), prod(dims[start + p.input.n_factors :])
+    if p.stoch is not None:
+        return np.kron(np.kron(np.eye(left), p.stoch), np.eye(right)) @ s.coords
+    out = 0
+    for k_op in p.kraus:
+        big = np.kron(np.kron(np.eye(left), k_op), np.eye(right))
+        out = out + big @ s.matrix @ big.conj().T
+    return out
+
+
+def _action(s):
+    return s.coords if s.system.backend == CLASSICAL else s.matrix
+
+
+def _assert_matches_kron_oracle(p, s, start):
+    out = c.apply_to_factors(p, s, start)
+    dims = s.system.dims
+    k = p.input.n_factors
+    assert out.system.dims == dims[:start] + p.output.dims + dims[start + k :]
+    assert np.abs(_action(out) - _kron_apply_to_factors(p, s, start)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+@pytest.mark.parametrize("dl", [1, 2, 3])
+@pytest.mark.parametrize("dr", [1, 2, 3])
+def test_apply_to_factors_matches_kron_oracle(backend, dl, dr):
+    rng = np.random.default_rng(10 * dl + dr)
+    for din, dout in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        p = bk.random_process(system(backend, din), system(backend, dout), rng)
+        s = bk.random_state(system(backend, dl, din, dr), rng)
+        _assert_matches_kron_oracle(p, s, 1)
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+def test_apply_to_factors_matches_kron_oracle_at_every_start(backend):
+    rng = np.random.default_rng(5)
+    dims = (2, 3, 1, 2)
+    s = bk.random_state(system(backend, *dims), rng)
+    for k in (1, 2):
+        for start in range(len(dims) - k + 1):
+            a = system(backend, *dims[start : start + k])
+            for dout in (1, 2, 3):
+                _assert_matches_kron_oracle(bk.random_process(a, system(backend, dout), rng), s, start)
+
+
+def test_apply_to_factors_matches_kron_oracle_on_imaginary_rebit_operators(rebit):
+    half_y = c.kraus_process(rebit, rebit, [I2 / np.sqrt(2.0), PAULI_Y / np.sqrt(2.0)])
+    s = bk.random_state(system(REAL, 3, 2, 2), 4)
+    for start in (1, 2):
+        _assert_matches_kron_oracle(half_y, s, start)
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+def test_apply_is_the_whole_system_action(backend):
+    rng = np.random.default_rng(8)
+    a, b = system(backend, 3), system(backend, 2)
+    p = bk.random_process(a, b, rng)
+    s = bk.random_state(a, rng)
+    out = c.apply(p, s)
+    if backend == CLASSICAL:
+        expected = p.stoch @ s.coords
+    else:
+        expected = sum(k @ s.matrix @ k.conj().T for k in p.kraus)
+    assert out.system == b
+    assert np.abs(_action(out) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+def test_apply_to_factors_at_zero_is_the_lifted_action(backend):
+    rng = np.random.default_rng(9)
+    a, b, ref = system(backend, 2), system(backend, 3), system(backend, 2, 3)
+    p = bk.random_process(a, b, rng)
+    phi = bk.random_state(tensor_systems(a, ref), rng)
+    out = c.apply_to_factors(p, phi, 0)
+    lifted = c.apply(c.lift(p, ref), phi)
+    assert out.system == lifted.system
+    assert np.abs(out.coords - lifted.coords).max() <= 1e-14
+
+
+def test_apply_to_factors_forms_no_kronecker_product(monkeypatch):
+    rng = np.random.default_rng(2)
+    cases = []
+    for backend in (CLASSICAL, QUANTUM, REAL):
+        p = bk.random_process(system(backend, 2), system(backend, 3), rng)
+        cases.append((p, bk.random_state(system(backend, 3, 2, 2), rng)))
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    for p, s in cases:
+        c.apply_to_factors(p, s, 1)
+        c.apply(p, c.marginal(s, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gpt_tomo import backends as bk
 from gpt_tomo import core as c
+from gpt_tomo import rebit as rebit_module
 from gpt_tomo import tomography as tm
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system
 from gpt_tomo.rebit import counterexample_report, rebit_processes
@@ -600,6 +601,33 @@ def test_find_faithful_state_values(qubit, bit, rebit):
     assert rank == basis_r.dim == 10
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_find_faithful_state_is_the_maximally_entangled_state(monkeypatch, backend, d):
+    a = system(backend, d)
+    expected = bk.maximally_entangled_state(a)
+
+    def no_purify(*args, **kwargs):
+        raise AssertionError("purify called")
+
+    monkeypatch.setattr(bk, "purify", no_purify)
+    phi = tm.find_faithful_state(a)
+    assert phi.system == expected.system
+    assert np.array_equal(phi.coords, expected.coords)
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_find_faithful_state_is_the_purified_complete_state(backend, d):
+    # the state find_faithful_state returned before, built with one eigh
+    a = system(backend, d)
+    old = bk.purify(bk.complete_state(a))
+    phi = tm.find_faithful_state(a)
+    assert phi.system == old.system
+    assert np.abs(phi.coords - old.coords).max() <= 2.3e-16
+    assert tm.lifting_rank(phi, a, a) == tm.lifting_rank(old, a, a) == c.tensor_systems(a, a).state_dim
+
+
 def test_faithful_state_extends_a_complete_state(qubit, rebit, bit):
     for sys in (qubit, rebit, bit):
         phi = tm.find_faithful_state(sys)
@@ -664,6 +692,32 @@ def test_kraus_remix_preserves_process_equality(backend, seed):
     p2 = remixed(p, rng)
     assert tm.equal_processes(p, p2)
     assert np.abs(bk.process_coords(p) - bk.process_coords(p2)).max() < 1e-9
+
+
+def test_lifted_equalities_build_no_lifted_process(monkeypatch, qubit, rebit):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    rng = np.random.default_rng(3)
+    p, p2 = bk.random_process(qubit, qubit, rng), bk.random_process(qubit, qubit, rng)
+    rho = bk.random_state(qubit, rng)
+    r, r2 = rebit_processes()
+    for name in ("lift", "tensor_processes"):
+        fn = getattr(c, name)
+        for mod in (c, tm, rebit_module):
+            monkeypatch.setattr(mod, name, counted(name, fn), raising=False)
+    assert not tm.equal_processes(p, p2) and tm.equal_processes(p, p)
+    assert not tm.equal_on_extensions(p, p2, rho) and tm.equal_on_extensions(p, p, rho)
+    assert not tm.equal_processes(r, r2)
+    assert not tm.equal_on_extensions(r, r2, bk.complete_state(rebit))
+    assert counterexample_report(n_random=2).faithful_rank == 10
+    assert calls == []
 
 
 def test_equal_processes_matches_coordinate_equality(qubit):

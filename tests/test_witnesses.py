@@ -633,3 +633,17 @@ def test_doubly_prep_faithful_fails_on_a_wrong_scalar(monkeypatch, backend):
     assert rep.passed is False
     # judged at sqrt(tol), about 3.2e-5
     assert rep.details["witness_max_residual"] > 1e-4
+
+
+def test_doubly_prep_faithful_reports_first_factor_residuals(monkeypatch):
+    build = wt.preparationally_faithful_witness
+
+    def off_on_first(*args, side="second", **kwargs):
+        p, s_proc = build(*args, side=side, **kwargs)
+        return (p * 1.001 if side == "first" else p), s_proc
+
+    monkeypatch.setattr(wt, "preparationally_faithful_witness", off_on_first)
+    rep = wt.is_doubly_preparationally_faithful(system(QUANTUM, 2), system(QUANTUM, 3), seed=0)
+    assert rep.passed is False
+    # the maximum covers the first-factor witnesses it judged
+    assert rep.details["witness_max_residual"] > 1e-4
