@@ -17,6 +17,10 @@ process matrix itself is the coordinate.  The process-space basis is plain
 arrays, the polarization operators and their coordinate matrix; the latter
 is square and lower triangular with a nonzero diagonal in every backend, so
 the builder asserts that structure instead of taking a numerical rank.
+
+The fixed families (spanning sets, complete and maximally entangled states and
+effects) and process-space bases are built and validated once per system per
+process and cached; a spanning family comes back as a fresh list each call.
 """
 
 from __future__ import annotations
@@ -74,21 +78,32 @@ def _pure_family(n: int, complex_pairs: bool) -> list[np.ndarray]:
 
 
 def spanning_states(sys: SystemDescriptor) -> list[StateVector]:
-    """Deterministic states whose real span is the full state space."""
+    """Deterministic states whose real span is the full state space (a fresh list each call)."""
+    return list(_spanning_states(sys))
+
+
+@lru_cache(maxsize=None)
+def _spanning_states(sys: SystemDescriptor) -> tuple[StateVector, ...]:
     if sys.backend == CLASSICAL:
-        return [state_from_coords(sys, row) for row in np.eye(sys.total_dim)]
+        return tuple(state_from_coords(sys, row) for row in np.eye(sys.total_dim))
     vecs = _pure_family(sys.total_dim, complex_pairs=sys.backend == QUANTUM)
-    return [state_from_vector(sys, v) for v in vecs]
+    return tuple(state_from_vector(sys, v) for v in vecs)
 
 
 def spanning_effects(sys: SystemDescriptor) -> list[EffectVector]:
-    """Effects (rank-1 projectors / outcome indicators) spanning the effect space."""
+    """Effects (rank-1 projectors / outcome indicators) spanning the effect space (a fresh list each call)."""
+    return list(_spanning_effects(sys))
+
+
+@lru_cache(maxsize=None)
+def _spanning_effects(sys: SystemDescriptor) -> tuple[EffectVector, ...]:
     if sys.backend == CLASSICAL:
-        return [effect_from_coords(sys, row) for row in np.eye(sys.total_dim)]
+        return tuple(effect_from_coords(sys, row) for row in np.eye(sys.total_dim))
     vecs = _pure_family(sys.total_dim, complex_pairs=sys.backend == QUANTUM)
-    return [effect_from_matrix(sys, np.outer(v, v.conj())) for v in vecs]
+    return tuple(effect_from_matrix(sys, np.outer(v, v.conj())) for v in vecs)
 
 
+@lru_cache(maxsize=None)
 def complete_state(sys: SystemDescriptor) -> StateVector:
     """The maximally mixed (quantum family) or uniform (classical) state.
 
@@ -101,6 +116,7 @@ def complete_state(sys: SystemDescriptor) -> StateVector:
     return state_from_matrix(sys, np.eye(n) / n)
 
 
+@lru_cache(maxsize=None)
 def maximally_entangled_state(a: SystemDescriptor) -> StateVector:
     """Canonical two-copy correlated state: Bell-type for quantum, perfect copy for classical."""
     n = a.total_dim
@@ -114,6 +130,7 @@ def maximally_entangled_state(a: SystemDescriptor) -> StateVector:
     return state_from_vector(comp, vec)
 
 
+@lru_cache(maxsize=None)
 def maximally_entangled_effect(a: SystemDescriptor) -> EffectVector:
     """The matching rank-1 effect (quantum) or equality indicator (classical)."""
     n = a.total_dim

@@ -24,7 +24,8 @@ not determine the action on composite systems.
 
 Scalars are plain nonnegative floats; a scalar is cancellative exactly when
 it is strictly positive.  All values are immutable after construction and
-every operation is a pure function.
+every operation is a pure function.  A validated quantum-family state or
+effect keeps, read-only, the matrix its positivity test ran on.
 """
 
 from __future__ import annotations
@@ -214,11 +215,12 @@ class StateVector:
     system: SystemDescriptor
     coords: np.ndarray
     kind: str  # DETERMINISTIC or SUBNORMALIZED
+    _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Density-matrix form (quantum family only)."""
-        return coords_to_matrix(self.system, self.coords)
+        """Density-matrix form (quantum family only), held since validation when it built one."""
+        return coords_to_matrix(self.system, self.coords) if self._matrix is None else self._matrix
 
     @property
     def weight(self) -> float:
@@ -234,13 +236,22 @@ class EffectVector:
     system: SystemDescriptor
     coords: np.ndarray
     kind: str  # DETERMINISTIC or GENERAL
+    _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @property
     def matrix(self) -> np.ndarray:
-        return coords_to_matrix(self.system, self.coords)
+        return coords_to_matrix(self.system, self.coords) if self._matrix is None else self._matrix
 
     def __repr__(self) -> str:
         return f"EffectVector({self.system}, kind={self.kind})"
+
+
+def _holding(vec, mat: np.ndarray | None):
+    """``vec`` holding ``mat`` read-only as its ``.matrix``; a ``replace`` copy drops it (``init=False``)."""
+    if mat is not None:
+        mat.flags.writeable = False
+        object.__setattr__(vec, "_matrix", mat)
+    return vec
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -263,6 +274,7 @@ def state_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float =
     if coords.shape != (sys.state_dim,):
         raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
     _require_finite(coords, "state coordinates")
+    mat = None
     if sys.backend == CLASSICAL:
         if coords.min() < -tol:
             raise ValueError(f"classical state has negative entry {coords.min():.3e}")
@@ -276,7 +288,7 @@ def state_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float =
     if total > 1.0 + tol:
         raise ValueError(f"state weight {total} exceeds 1")
     kind = DETERMINISTIC if abs(total - 1.0) <= tol else SUBNORMALIZED
-    return StateVector(sys, _lock(coords), kind)
+    return _holding(StateVector(sys, _lock(coords), kind), mat)
 
 
 def state_from_matrix(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEFAULT_TOL) -> StateVector:
@@ -294,6 +306,7 @@ def effect_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float 
     if coords.shape != (sys.effect_dim,):
         raise ValueError(f"expected {sys.effect_dim} coordinates for {sys}, got {coords.shape}")
     _require_finite(coords, "effect coordinates")
+    mat = None
     if sys.backend == CLASSICAL:
         if coords.min() < -tol or coords.max() > 1.0 + tol:
             raise ValueError("classical effect entries must lie in [0, 1]")
@@ -306,20 +319,22 @@ def effect_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float 
             raise ValueError("effect matrix exceeds the identity")
         det = _near(mat, np.eye(sys.total_dim), tol)
     kind = DETERMINISTIC if det else GENERAL
-    return EffectVector(sys, _lock(coords), kind)
+    return _holding(EffectVector(sys, _lock(coords), kind), mat)
 
 
 def effect_from_matrix(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEFAULT_TOL) -> EffectVector:
     return effect_from_coords(sys, matrix_to_coords(sys, mat, tol=tol), tol=tol)
 
 
+@lru_cache(maxsize=None)
 def deterministic_effect(sys: SystemDescriptor) -> EffectVector:
-    """The unique deterministic effect (causal backends have exactly one)."""
+    """The unique deterministic effect (causal backends have exactly one), built once per system."""
     if sys.backend == CLASSICAL:
-        coords = np.ones(sys.state_dim)
+        coords, mat = np.ones(sys.state_dim), None
     else:
         coords = matrix_to_coords(sys, np.eye(sys.total_dim))
-    return EffectVector(sys, _lock(coords), DETERMINISTIC)
+        mat = coords_to_matrix(sys, coords)
+    return _holding(EffectVector(sys, _lock(coords), DETERMINISTIC), mat)
 
 
 def pair(e: EffectVector, s: StateVector) -> float:

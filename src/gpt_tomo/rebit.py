@@ -11,6 +11,7 @@ completely indistinguishable by local measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +44,9 @@ REBIT = system(REAL, 2)
 TWO_REBITS = tensor_systems(REBIT, REBIT)
 
 
+@lru_cache(maxsize=None)
 def rebit_processes() -> tuple[ProcessRep, ProcessRep]:
-    """The two deterministic rebit channels with Kraus {I, Y}/sqrt2 and {X, Z}/sqrt2."""
+    """The two deterministic rebit channels with Kraus {I, Y}/sqrt2 and {X, Z}/sqrt2, built once."""
     s = 1.0 / np.sqrt(2.0)
     p = kraus_process(REBIT, REBIT, [s * PAULI["I"], s * PAULI["Y"]])
     p2 = kraus_process(REBIT, REBIT, [s * PAULI["X"], s * PAULI["Z"]])
@@ -68,14 +70,29 @@ def pauli_components(mat: np.ndarray) -> np.ndarray:
     """
     labels = ("I", "X", "Y", "Z")
     table = np.empty((4, 4))
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            table[i, j] = np.real(np.trace(np.kron(PAULI[a], PAULI[b]) @ mat)) / 2.0
+    for k, pp in enumerate(_pauli_products()):
+        table.flat[k] = np.real(np.trace(pp @ mat)) / 2.0
     for i, a in enumerate(labels):
         for j, b in enumerate(labels):
             if (a == "Y") != (b == "Y") and abs(table[i, j]) > 1e-9:
                 raise AssertionError(f"real state has a forbidden {a}(x){b} component")
     return table
+
+
+@lru_cache(maxsize=None)
+def _pauli_products() -> np.ndarray:
+    """P_i (x) P_j for P in (I, X, Y, Z), stacked in row-major (i, j) order, read-only."""
+    paulis = [PAULI[k] for k in ("I", "X", "Y", "Z")]
+    prods = np.stack([np.kron(a, b) for a in paulis for b in paulis])
+    prods.flags.writeable = False
+    return prods
+
+
+@lru_cache(maxsize=None)
+def _product_effects() -> tuple:
+    """The 9 local product effects e_a (x) e_b over the rebit's spanning effects."""
+    local = bk.spanning_effects(REBIT)
+    return tuple(tensor_effects(ea, eb) for ea in local for eb in local)
 
 
 @dataclass(frozen=True)
@@ -135,10 +152,8 @@ def counterexample_report(
     tdist = trace_distance(out1, out2)
 
     local_gap = 0.0
-    for ea in bk.spanning_effects(REBIT):
-        for eb in bk.spanning_effects(REBIT):
-            prod_effect = tensor_effects(ea, eb)
-            local_gap = max(local_gap, abs(pair(prod_effect, out1) - pair(prod_effect, out2)))
+    for prod_effect in _product_effects():
+        local_gap = max(local_gap, abs(pair(prod_effect, out1) - pair(prod_effect, out2)))
 
     rank = lifting_rank(bell, REBIT, REBIT)
 

@@ -134,13 +134,8 @@ def face_spanning_states(rho: StateVector, *, tol: float = DEFAULT_TOL) -> list[
     """Deterministic states spanning the face of rho (states contained in rho)."""
     sys = rho.system
     if sys.backend == CLASSICAL:
-        support = np.flatnonzero(rho.coords > tol)
-        out = []
-        for i in support:
-            coords = np.zeros(sys.total_dim)
-            coords[i] = 1.0
-            out.append(state_from_coords(sys, coords))
-        return out
+        points = bk.spanning_states(sys)
+        return [points[i] for i in np.flatnonzero(rho.coords > tol)]
     vals, vecs = np.linalg.eigh(rho.matrix)
     support = vecs[:, vals > tol]
     r = support.shape[1]

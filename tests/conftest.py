@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gpt_tomo import backends as bk
 from gpt_tomo import core as c
+from gpt_tomo import rebit as rb
+from gpt_tomo import tomography as tm
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system
 
 I2 = np.eye(2)
@@ -40,6 +43,22 @@ def basis_processes(basis):
     if basis.input.backend == CLASSICAL:
         return [c.stochastic_process(basis.input, basis.output, m) for m in basis.operators]
     return [c.kraus_process(basis.input, basis.output, [k]) for k in basis.operators]
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named core function wherever a module binds it; returns the call log."""
+    calls = []
+    for name in names:
+        original = getattr(c, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args))
+            return _original(*args, **kwargs)
+
+        for mod in (c, bk, tm, rb):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 @pytest.fixture

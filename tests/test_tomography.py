@@ -12,7 +12,7 @@ from gpt_tomo import tomography as tm
 from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system
 from gpt_tomo.rebit import counterexample_report, rebit_processes
 
-from conftest import PHI_PLUS, basis_processes, proj
+from conftest import PHI_PLUS, basis_processes, count_calls, proj
 
 SEED_ST = st.integers(0, 2**31 - 1)
 BACKEND_ST = st.sampled_from([CLASSICAL, QUANTUM, REAL])
@@ -390,28 +390,12 @@ def test_lifting_matrix_rejects_a_basis_of_another_input(qubit, qutrit, rebit):
         tm.lifting_matrix(phi, rebit, bk.process_space_basis(rebit, rebit))
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap each named core function wherever a module binds it; returns the call log."""
-    calls = []
-    for name in names:
-        original = getattr(c, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, args))
-            return _original(*args, **kwargs)
-
-        for mod in (c, bk, tm):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
 def test_lifting_matrix_builds_no_process(monkeypatch, backend):
     a = system(backend, 2)
     basis = bk.process_space_basis(a, system(backend, 3))
     phi = bk.random_state(c.tensor_systems(a, system(backend, 2)), 1)
-    calls = _count_calls(monkeypatch, ("apply_to_factors", "kraus_process", "stochastic_process"))
+    calls = count_calls(monkeypatch, ("apply_to_factors", "kraus_process", "stochastic_process"))
     m = tm.lifting_matrix(phi, a, basis)
     assert m.shape == (c.tensor_systems(system(backend, 3), a).state_dim, basis.dim)
     assert calls == []
@@ -662,8 +646,9 @@ def test_local_tomography_rank_matches_dense_product_effects(backend):
 
 
 def test_local_tomography_builds_no_composite_effect(monkeypatch, qubit, qutrit, rebit):
-    calls = _count_calls(monkeypatch, ("effect_from_coords", "tensor_effects"))
+    calls = count_calls(monkeypatch, ("effect_from_coords", "tensor_effects"))
     for a, b in ((qubit, qutrit), (rebit, rebit)):
+        bk._spanning_effects.cache_clear()  # the families are cached: count a cold build
         calls.clear()
         tm.is_locally_tomographic(a, b)
         built = {args[0] for name, args in calls if name == "effect_from_coords"}
