@@ -334,8 +334,7 @@ def random_process(
         g = g + 1j * rng.normal(size=(dout * env, din))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.real(np.diag(r)))  # fix QR sign gauge for reproducibility
-    ops = [q[m * dout : (m + 1) * dout, :] for m in range(env)]
-    return kraus_process(a, b, ops)
+    return kraus_process(a, b, q.reshape(env, dout, din))  # one operator per environment row block
 
 
 def random_povm(

@@ -16,11 +16,12 @@ i < j in row-major order.  It is never built: a Hermitian H has coordinates
 representable when max|M - H| <= tol for its Hermitian part H (for the real
 backend, the real part of it).
 
-Processes carry an explicit representation (Kraus list or substochastic
-matrix) that lifts canonically to composites via ``K -> K (x) I``.  Keeping
-the representation around, instead of a single-system transfer matrix, is
-what keeps the real backend honest: there, the action on single systems does
-not determine the action on composite systems.
+Processes carry an explicit representation (a stack of Kraus operators or
+a substochastic matrix) that lifts canonically to composites via
+``K -> K (x) I``.  Keeping the representation around, instead of a
+single-system transfer matrix, is what keeps the real backend honest:
+there, the action on single systems does not determine the action on
+composite systems.
 
 Scalars are plain nonnegative floats; a scalar is cancellative exactly when
 it is strictly positive.  All values are immutable after construction and
@@ -366,9 +367,11 @@ def tensor_effects(e: EffectVector, f: EffectVector, *, tol: float = DEFAULT_TOL
 class ProcessRep:
     """A physical transformation with a representation that lifts to composites.
 
-    Quantum-family processes hold a Kraus list; classical ones a substochastic
-    matrix.  For the real backend every Kraus operator must be entrywise real
-    or entrywise purely imaginary: that class is closed under lifting and
+    Quantum-family processes hold their Kraus operators as one read-only
+    complex array of shape (k, d_out, d_in), so every operation on them is
+    one broadcast numpy call; classical ones hold a substochastic matrix.
+    For the real backend every Kraus operator must be entrywise real or
+    entrywise purely imaginary: that class is closed under lifting and
     contains both counterexample processes, though it is documented as a
     sufficient class rather than a characterization.  Kraus lists read off
     a positive matrix all come from ``kraus_from_psd``: ``compose`` keeps at
@@ -378,7 +381,7 @@ class ProcessRep:
 
     input: SystemDescriptor
     output: SystemDescriptor
-    kraus: tuple[np.ndarray, ...] | None
+    kraus: np.ndarray | None
     stoch: np.ndarray | None
     deterministic: bool
     reversible: bool
@@ -392,26 +395,20 @@ class ProcessRep:
         return f"ProcessRep({self.input} -> {self.output}, {rep})"
 
 
-def _is_real_or_imaginary(k: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(k.imag).max(initial=0.0) <= tol or np.abs(k.real).max(initial=0.0) <= tol)
-
-
 def kraus_process(
     input: SystemDescriptor, output: SystemDescriptor, kraus: Iterable[np.ndarray], *, tol: float = DEFAULT_TOL
 ) -> ProcessRep:
     if input.backend != output.backend:
         raise ValueError("process input and output must share a backend")
-    din, dout = input.total_dim, output.total_dim
-    ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    for k in ops:
-        if k.shape != (dout, din):
-            raise ValueError(f"Kraus operator has shape {k.shape}, expected {(dout, din)}")
-        _require_finite(k, "Kraus operator")
+    din = input.total_dim
+    ops = _kraus_stack(kraus, (output.total_dim, din))
     if input.backend == CLASSICAL:
         raise ValueError("classical processes use stochastic matrices, not Kraus lists")
-    if not ops:
+    if not len(ops):
         raise ValueError("a Kraus list needs at least one operator")
-    if input.backend == REAL and not all(_is_real_or_imaginary(k, tol) for k in ops):
+    if input.backend == REAL and not np.all(
+        (np.abs(ops.imag).max(axis=(1, 2)) <= tol) | (np.abs(ops.real).max(axis=(1, 2)) <= tol)
+    ):
         raise ValueError("real-backend Kraus operators must be entrywise real or entrywise purely imaginary")
     gram = _gram(ops)
     if _min_eig(np.eye(din) - gram) < -tol:
@@ -419,19 +416,47 @@ def kraus_process(
     return _kraus_rep(input, output, ops, tol, gram)
 
 
-def _gram(ops: Sequence[np.ndarray]) -> np.ndarray:
-    stacked = np.concatenate(ops)  # sum_k K_k^dag K_k as one product
+def _kraus_stack(kraus: Iterable[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """The operators as one new (k, d_out, d_in) complex array, each checked for shape and finiteness.
+
+    One ``np.array`` when the shapes agree; otherwise (a ragged list, a wrong
+    shape) the operators are checked one at a time, so the error names the
+    first operator at fault, as when every operator was checked on its own.
+    """
+    if not isinstance(kraus, np.ndarray):
+        kraus = list(kraus)
+    try:
+        ops = np.array(kraus, dtype=complex)
+    except ValueError:  # ragged
+        ops = None
+    if ops is None or ops.shape[1:] != shape:
+        for k in kraus:
+            k = np.asarray(k, dtype=complex)
+            if k.shape != shape:
+                raise ValueError(f"Kraus operator has shape {k.shape}, expected {shape}")
+            _require_finite(k, "Kraus operator")
+        ops = np.empty((0, *shape), dtype=complex)  # only an empty list passes that loop
+    _require_finite(ops, "Kraus operator")
+    return ops
+
+
+def _gram(ops: np.ndarray) -> np.ndarray:
+    stacked = ops.reshape(-1, ops.shape[-1])  # sum_k K_k^dag K_k as one product
     return stacked.conj().T @ stacked
 
 
-def _kraus_rep(input: SystemDescriptor, output: SystemDescriptor, ops, tol: float, gram=None) -> ProcessRep:
-    """The process of a Kraus list known to be physical: only the flags are computed.
+def _kraus_rep(
+    input: SystemDescriptor, output: SystemDescriptor, ops: np.ndarray, tol: float, gram=None
+) -> ProcessRep:
+    """The process of a Kraus stack known to be physical: only the flags are computed.
 
     ``kraus_process`` validates and then calls it; ``compose`` and
     ``tensor_processes`` call it directly, since composites of completely
-    positive maps are completely positive (Choi, LAA 10, 285 (1975)).
+    positive maps are completely positive (Choi, LAA 10, 285 (1975)).  The
+    stack is new to this call, so it is locked in place, not copied.
     """
-    ops = tuple(_lock(k, complex) for k in ops)
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    ops.flags.writeable = False
     eye = np.eye(input.total_dim)
     det = _near(_gram(ops) if gram is None else gram, eye, tol)
     square = input.total_dim == output.total_dim
@@ -463,25 +488,28 @@ def _stoch_rep(input: SystemDescriptor, output: SystemDescriptor, mat: np.ndarra
     return ProcessRep(input, output, None, _lock(mat), det, rev)
 
 
-def choi(ops: Sequence[np.ndarray]) -> np.ndarray:
+def choi(ops: np.ndarray) -> np.ndarray:
     """sum_k vec(K_k) vec(K_k)^dag on out (x) in: the lifted action on sum_i |i>|i>."""
-    vecs = np.stack([k.reshape(-1) for k in ops], axis=1)
+    vecs = ops.reshape(len(ops), -1).T  # one column per operator
     return vecs @ vecs.conj().T
 
 
 def kraus_from_psd(
     mat: np.ndarray, shape: tuple[int, int], *, cutoff: float, floor: float = -np.inf
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """sqrt(lambda) u reshaped to ``shape`` per eigenpair of ``mat`` with lambda > ``cutoff``.
 
-    One ``eigh`` (Choi, LAA 10, 285 (1975)); one zero operator when no pair
-    survives, and a ``ValueError`` when an eigenvalue falls below ``floor``.
+    One ``eigh`` (Choi, LAA 10, 285 (1975)); the operators come back stacked,
+    one zero operator when no pair survives, and a ``ValueError`` when an
+    eigenvalue falls below ``floor``.
     """
     vals, us = np.linalg.eigh(mat)
     if vals.min() < floor:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eig {vals.min():.3e}")
-    kept = [np.sqrt(v) * us[:, i].reshape(shape) for i, v in enumerate(vals) if v > cutoff]
-    return kept or [np.zeros(shape)]
+    kept = vals > cutoff
+    if not kept.any():
+        return np.zeros((1, *shape))
+    return (np.sqrt(vals[kept]) * us[:, kept]).T.reshape(-1, *shape)
 
 
 def identity_process(sys: SystemDescriptor) -> ProcessRep:
@@ -505,7 +533,7 @@ def effect_process(effect: EffectVector, *, tol: float = DEFAULT_TOL) -> Process
     if effect.system.backend == CLASSICAL:
         return stochastic_process(effect.system, triv, effect.coords.reshape(1, -1))
     rows = kraus_from_psd(effect.matrix, (1, effect.system.total_dim), cutoff=tol)
-    return kraus_process(effect.system, triv, [r.conj() for r in rows])
+    return kraus_process(effect.system, triv, rows.conj())
 
 
 def trivial_state(backend: str) -> StateVector:
@@ -532,8 +560,8 @@ def compose(after: ProcessRep, before: ProcessRep, *, tol: float = DEFAULT_TOL) 
         )
     if before.stoch is not None:
         return _stoch_rep(before.input, after.output, after.stoch @ before.stoch, tol)
-    ops = [k2 @ k1 for k2 in after.kraus for k1 in before.kraus]
     din, dout = before.input.total_dim, after.output.total_dim
+    ops = (after.kraus[:, None] @ before.kraus[None]).reshape(-1, dout, din)  # k2 @ k1, k2 outer
     if len(ops) > din * dout:
         mat = choi(ops)
         if before.backend == REAL:  # real, so eigh's eigenvectors carry no phases
@@ -549,7 +577,8 @@ def tensor_processes(p: ProcessRep, q: ProcessRep, *, tol: float = DEFAULT_TOL) 
     out = tensor_systems(p.output, q.output)
     if p.stoch is not None:
         return _stoch_rep(inp, out, np.kron(p.stoch, q.stoch), tol)
-    return _kraus_rep(inp, out, [np.kron(a, b) for a in p.kraus for b in q.kraus], tol)
+    ops = np.kron(p.kraus[:, None], q.kraus[None])  # every (a, b) pair, a outer
+    return _kraus_rep(inp, out, ops.reshape(-1, out.total_dim, inp.total_dim), tol)
 
 
 def lift(p: ProcessRep, anc: SystemDescriptor, *, tol: float = DEFAULT_TOL) -> ProcessRep:
@@ -566,7 +595,7 @@ def scale_process(p_scalar: float, proc: ProcessRep, *, tol: float = DEFAULT_TOL
     if proc.stoch is not None:
         return stochastic_process(proc.input, proc.output, p_scalar * proc.stoch, tol=tol)
     root = np.sqrt(p_scalar)
-    return kraus_process(proc.input, proc.output, [root * k for k in proc.kraus], tol=tol)
+    return kraus_process(proc.input, proc.output, root * proc.kraus, tol=tol)
 
 
 def add_processes(procs: Sequence[ProcessRep], *, tol: float = DEFAULT_TOL) -> ProcessRep:
@@ -576,10 +605,7 @@ def add_processes(procs: Sequence[ProcessRep], *, tol: float = DEFAULT_TOL) -> P
         raise ValueError("can only sum processes of a common type")
     if first.stoch is not None:
         return stochastic_process(first.input, first.output, sum(p.stoch for p in procs), tol=tol)
-    ops: list[np.ndarray] = []
-    for p in procs:
-        ops.extend(p.kraus)
-    return kraus_process(first.input, first.output, ops, tol=tol)
+    return kraus_process(first.input, first.output, np.concatenate([p.kraus for p in procs]), tol=tol)
 
 
 def apply_to_factors(
@@ -587,8 +613,9 @@ def apply_to_factors(
 ) -> StateVector:
     """Apply ``p`` to the contiguous factor block of ``s`` beginning at ``start``.
 
-    The one process action (``apply`` is its whole-system case): each operator
-    acts on the block's rows by ``_on_rows``, never as I (x) K (x) I.
+    The one process action (``apply`` is its whole-system case): all
+    operators act at once on the block's rows by ``_on_rows``, never as
+    I (x) K (x) I, and the k terms K rho K^dag are summed over the stack.
     """
     sys = s.system
     k = p.input.n_factors
@@ -600,14 +627,18 @@ def apply_to_factors(
     out_sys = SystemDescriptor(sys.backend, sys.dims[:start] + p.output.dims + sys.dims[start + k :])
     if p.stoch is not None:
         return state_from_coords(out_sys, _on_rows(p.stoch, s.coords[:, None], left).ravel(), tol=tol)
-    mat = s.matrix
-    out = sum(_on_rows(op, _on_rows(op, mat, left).conj().T, left).conj().T for op in p.kraus)
-    return state_from_matrix(out_sys, out, tol=tol)
+    half = _on_rows(p.kraus, s.matrix, left).conj().transpose(0, 2, 1)  # (K rho)^dag per K
+    return state_from_matrix(out_sys, _on_rows(p.kraus, half, left).sum(axis=0).conj().T, tol=tol)
 
 
 def _on_rows(op: np.ndarray, mat: np.ndarray, left: int) -> np.ndarray:
-    """(I_left (x) op (x) I_right) @ mat by a reshape (Wood, Biamonte & Cory, QIC 15, 759 (2015))."""
-    return (op @ mat.reshape(left, op.shape[1], -1)).reshape(-1, mat.shape[1])
+    """(I_left (x) op (x) I_right) @ mat by a reshape (Wood, Biamonte & Cory, QIC 15, 759 (2015)).
+
+    A stack of operators (k, d_out, d_in) acts on ``mat`` once per operator,
+    or on a matching stack (k, n, m) one matrix per operator.
+    """
+    rows = mat.reshape(*mat.shape[:-2], left, op.shape[-1], -1)
+    return (op[..., None, :, :] @ rows).reshape(*op.shape[:-2], -1, mat.shape[-1])
 
 
 # ---------------------------------------------------------------------------

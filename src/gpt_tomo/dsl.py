@@ -24,8 +24,9 @@ Grammar::
 
 ``f . g`` runs ``g`` first (right-to-left application); ``||`` binds tighter
 than ``.``.  Diagnostics are positioned as ``file:line:col: message`` and
-parsing never panics on malformed input.  Tokens carry their text offset;
-line and column are worked out only for a diagnostic or an AST position.
+parsing never panics on malformed input.  Tokens are plain ``(kind, text,
+offset)`` tuples; line and column are worked out only for a diagnostic or an
+AST position.
 The conventional file extension is ``.opt``.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -101,10 +102,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
+Token = tuple[str, str, int]  # kind, text, offset
 
 
 def _newlines(text: str) -> list[int]:
@@ -122,11 +120,11 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = Token(kind, m[kind], m.start(kind))
+        offset = m.start(kind)
         if kind == "bad":
-            line, col = _line_col(_newlines(text), tok.offset)
-            raise DslError(f"unexpected character {tok.text!r}", line, col, filename)
-        tokens.append(tok)
+            line, col = _line_col(_newlines(text), offset)
+            raise DslError(f"unexpected character {m[kind]!r}", line, col, filename)
+        tokens.append((kind, m[kind], offset))
         if kind == "eof":
             break
     return tokens
@@ -225,7 +223,7 @@ class _Parser:
         self.i = 0
 
     def pos(self, tok: Token) -> Pos:
-        return _line_col(self.newlines, tok.offset)
+        return _line_col(self.newlines, tok[2])
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -238,27 +236,30 @@ class _Parser:
     def error(self, message: str, tok: Token | None = None) -> DslError:
         return DslError(message, *self.pos(tok or self.peek()), self.filename)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> str:
+        """The text of the next token, which must be of ``kind`` (and be ``text``, if given)."""
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        got_kind, got_text, _ = tok
+        if got_kind != kind or (text is not None and got_text != text):
             want = text if text is not None else kind
-            shown = tok.text if tok.text else "end of input"
-            raise self.error(f"expected {want!r}, found {shown!r}", tok)
-        return self.next()
+            raise self.error(f"expected {want!r}, found {got_text or 'end of input'!r}", tok)
+        self.i += 1
+        return got_text
 
     def comma_separated(self, item: Callable[[], Any]) -> list:
         items = [item()]
-        while self.peek().text == ",":
-            self.next()
+        while self.peek()[1] == ",":
+            self.i += 1
             items.append(item())
         return items
 
-    def expect_ident(self, role: str = "identifier") -> Token:
+    def expect_ident(self, role: str = "identifier") -> str:
         tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            shown = tok.text if tok.text else "end of input"
-            raise self.error(f"expected {role}, found {shown!r}", tok)
-        return self.next()
+        kind, text, _ = tok
+        if kind != "ident" or text in KEYWORDS:
+            raise self.error(f"expected {role}, found {text or 'end of input'!r}", tok)
+        self.i += 1
+        return text
 
     # --- declarations ---
 
@@ -267,17 +268,14 @@ class _Parser:
         values: list[ValueDecl] = []
         declared: set[str] = set()
         while True:
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text == "run":
+            kind, text, _ = self.peek()
+            if kind == "ident" and text == "run":
                 break
-            if tok.kind == "eof":
-                raise self.error("expected a declaration or 'run'", tok)
-            if tok.kind != "ident" or tok.text not in ("system", "state", "effect", "proc"):
-                raise self.error(
-                    f"expected 'system', 'state', 'effect', 'proc' or 'run', found {tok.text!r}",
-                    tok,
-                )
-            decl = self.parse_decl(tok.text)
+            if kind == "eof":
+                raise self.error("expected a declaration or 'run'")
+            if kind != "ident" or text not in ("system", "state", "effect", "proc"):
+                raise self.error(f"expected 'system', 'state', 'effect', 'proc' or 'run', found {text!r}")
+            decl = self.parse_decl(text)
             name = decl.name
             if name in declared:
                 raise DslError(f"duplicate declaration of {name!r}", *decl.pos, self.filename)
@@ -295,21 +293,22 @@ class _Parser:
         start = self.next()  # the keyword
         name = self.expect_ident(f"{head} name")
         if head == "system":
+            backend_tok = self.peek()
             backend = self.expect_ident("backend name")
-            if backend.text not in BACKEND_NAMES:
+            if backend not in BACKEND_NAMES:
                 raise self.error(
-                    f"unknown backend {backend.text!r} (expected classical, quantum or real)",
-                    backend,
+                    f"unknown backend {backend!r} (expected classical, quantum or real)", backend_tok
                 )
+            dim_tok = self.peek()
             dim = self.expect("number")
             try:
-                d = int(dim.text)
+                d = int(dim)
             except ValueError:
-                raise self.error(f"system dimension must be an integer, found {dim.text!r}", dim)
+                raise self.error(f"system dimension must be an integer, found {dim!r}", dim_tok)
             if d < 1:
-                raise self.error("system dimension must be positive", dim)
+                raise self.error("system dimension must be positive", dim_tok)
             self.expect("sym", ";")
-            return SystemDecl(name.text, backend.text, d, self.pos(start))
+            return SystemDecl(name, backend, d, self.pos(start))
         self.expect("ident", "on")
         ins, outs = self.parse_syslist(), ()
         if head == "proc":
@@ -320,31 +319,31 @@ class _Parser:
         self.expect("sym", "=")
         lit = self.parse_literal()
         self.expect("sym", ";")
-        return ValueDecl(head, name.text, ins, outs, lit, self.pos(start))
+        return ValueDecl(head, name, ins, outs, lit, self.pos(start))
 
     def parse_syslist(self) -> tuple[str, ...]:
-        return tuple(self.comma_separated(lambda: self.expect_ident("system name").text))
+        return tuple(self.comma_separated(lambda: self.expect_ident("system name")))
 
     def parse_literal(self) -> Literal:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected a literal, found {tok.text!r}", tok)
-        if tok.text in BUILTINS:
+        kind, text, _ = self.peek()
+        if kind != "ident":
+            raise self.error(f"expected a literal, found {text!r}")
+        if text in BUILTINS:
             self.next()
-            return BuiltinLit(tok.text)
-        if tok.text == "kraus":
+            return BuiltinLit(text)
+        if text == "kraus":
             self.next()
             self.expect("sym", "[")
             mats = self.comma_separated(lambda: self.parse_matrix(complex_ok=True))
             self.expect("sym", "]")
             return KrausLit(tuple(mats))
-        if tok.text == "stoch":
+        if text == "stoch":
             self.next()
             self.expect("sym", "[")
             mat = self.parse_matrix(complex_ok=False)
             self.expect("sym", "]")
             return StochLit(tuple(tuple(float(x.real) for x in row) for row in mat))
-        raise self.error(f"unknown literal {tok.text!r}", tok)
+        raise self.error(f"unknown literal {text!r}")
 
     def parse_matrix(self, complex_ok: bool) -> tuple[tuple[complex, ...], ...]:
         self.expect("sym", "[")
@@ -364,16 +363,16 @@ class _Parser:
                 entries.append(complex(float(text)))
                 i += 1
             elif (  # short-circuits before it could look past the eof token
-                complex_ok and text == "[" and toks[i + 1].kind == "number" and toks[i + 2].text == ","
-                and toks[i + 3].kind == "number" and toks[i + 4].text == "]"
+                complex_ok and text == "[" and toks[i + 1][0] == "number" and toks[i + 2][1] == ","
+                and toks[i + 3][0] == "number" and toks[i + 4][1] == "]"
             ):
-                entries.append(complex(float(toks[i + 1].text), float(toks[i + 3].text)))
+                entries.append(complex(float(toks[i + 1][1]), float(toks[i + 3][1])))
                 i += 5
             else:
                 self.i = i
                 entries.append(self.parse_entry(complex_ok))
                 i = self.i
-            if toks[i].text != ",":
+            if toks[i][1] != ",":
                 break
             i += 1
         self.i = i
@@ -382,23 +381,23 @@ class _Parser:
 
     def parse_entry(self, complex_ok: bool) -> complex:
         """An entry that ``parse_row`` could not read as a number or a well-formed pair."""
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "[":
+        kind, text, _ = self.peek()
+        if kind == "sym" and text == "[":
             if not complex_ok:
-                raise self.error("stochastic entries must be plain numbers", tok)
+                raise self.error("stochastic entries must be plain numbers")
             self.next()
-            re_tok = self.expect("number")
+            re_text = self.expect("number")
             self.expect("sym", ",")
-            im_tok = self.expect("number")
+            im_text = self.expect("number")
             self.expect("sym", "]")
-            return complex(float(re_tok.text), float(im_tok.text))
-        raise self.error(f"expected a number, found {tok.text!r}", tok)
+            return complex(float(re_text), float(im_text))
+        raise self.error(f"expected a number, found {text!r}")
 
     # --- expressions ---
 
     def parse_expr(self) -> Expr:
         node = self.parse_par()
-        while self.peek().kind == "sym" and self.peek().text == ".":
+        while self.peek()[:2] == ("sym", "."):
             op = self.next()
             right = self.parse_par()
             node = Seq(node, right, self.pos(op))
@@ -406,7 +405,7 @@ class _Parser:
 
     def parse_par(self) -> Expr:
         node = self.parse_atom()
-        while self.peek().kind == "par":
+        while self.peek()[0] == "par":
             op = self.next()
             right = self.parse_atom()
             node = Par(node, right, self.pos(op))
@@ -414,22 +413,22 @@ class _Parser:
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
+        kind, text, _ = tok
+        if kind == "sym" and text == "(":
             self.next()
             inner = self.parse_expr()
             self.expect("sym", ")")
             return inner
-        if tok.kind == "ident" and tok.text == "id":
+        if kind == "ident" and text == "id":
             self.next()
             self.expect("sym", "[")
             name = self.expect_ident("system name")
             self.expect("sym", "]")
-            return Ident(name.text, self.pos(tok))
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+            return Ident(name, self.pos(tok))
+        if kind == "ident" and text not in KEYWORDS:
             self.next()
-            return Atom(tok.text, self.pos(tok))
-        shown = tok.text if tok.text else "end of input"
-        raise self.error(f"expected an expression, found {shown!r}", tok)
+            return Atom(text, self.pos(tok))
+        raise self.error(f"expected an expression, found {text or 'end of input'!r}")
 
 
 def parse(text: str, filename: str = "<string>") -> CircuitAST:
@@ -612,8 +611,7 @@ def _build_value(prog: TypedProgram, v: ValueDecl, tol: float) -> ProcessRep:
     try:
         if isinstance(v.literal, StochLit):
             return stochastic_process(inp, out, np.array(v.literal.matrix, dtype=float), tol=tol)
-        mats = [np.array(m, dtype=complex) for m in v.literal.matrices]
-        return kraus_process(inp, out, mats, tol=tol)
+        return kraus_process(inp, out, v.literal.matrices, tol=tol)  # one array unless ragged
     except ValueError as exc:
         raise DslError(str(exc), *v.pos, prog.filename) from exc
 
@@ -648,7 +646,7 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
         if proc.stoch is not None:
             scalar = float(proc.stoch[0, 0])
         else:
-            scalar = float(sum(abs(k[0, 0]) ** 2 for k in proc.kraus))
+            scalar = float((np.abs(proc.kraus[:, 0, 0]) ** 2).sum())
         if scalar < -tol or scalar > 1.0 + max(tol, 1e-9):
             raise DslError(
                 f"closed diagram evaluated outside [0, 1]: {scalar}",
@@ -662,9 +660,8 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
         if proc.stoch is not None:
             eff = effect_from_coords(proc.input, proc.stoch[0], tol=tol)
         else:
-            eff = effect_from_matrix(
-                proc.input, sum(k.conj().T @ k for k in proc.kraus), tol=tol
-            )
+            ops = proc.kraus
+            eff = effect_from_matrix(proc.input, (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0), tol=tol)
         return EvalResult("effect", eff)
     return EvalResult("process", proc)
 

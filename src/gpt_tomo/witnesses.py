@@ -400,8 +400,7 @@ def channel_from_purification(
     w2 = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(n_a, -1)  # indices (A, E (x) F)
     w1 = _pure_vector(psi, tol=tol).reshape(n_a, n_r)
     v = _unitary_connecting(w1, w2, tol=tol).T  # isometry R -> E (x) F
-    blocks = v.reshape(n_e, n_a * n_e, n_r)  # one Kraus operator per F basis vector
-    ops = [blocks[:, f, :] for f in range(n_a * n_e)]
+    ops = v.reshape(n_e, n_a * n_e, n_r).transpose(1, 0, 2)  # one Kraus operator per F basis vector
     t_proc = kraus_process(r_sys, env, ops, tol=np.sqrt(tol))
     if not t_proc.deterministic:
         raise AssertionError("purification-based channel came out non-deterministic")
@@ -447,17 +446,16 @@ def preparationally_faithful_witness(
         k_a, n_e = a.n_factors, target.system.total_dim // d
         if side == "second":
             env = SystemDescriptor(a.backend, target.system.dims[k_a:])
-            coeff_mats = [m.T for m in kraus_from_psd(target.matrix, (d, n_e), cutoff=tol)]
+            coeff_mats = kraus_from_psd(target.matrix, (d, n_e), cutoff=tol).transpose(0, 2, 1)
         else:
             env = SystemDescriptor(a.backend, target.system.dims[: target.system.n_factors - k_a])
             coeff_mats = kraus_from_psd(target.matrix, (n_e, d), cutoff=tol)
-        gram = sum(m.conj().T @ m for m in coeff_mats)
+        gram = (coeff_mats.conj().transpose(0, 2, 1) @ coeff_mats).sum(axis=0)
         top = float(np.linalg.eigvalsh(gram).max())
         if top <= 0.0:  # no eigenvalue above tol: only the one zero operator came back
             raise ValueError("cannot prepare the zero target with a cancellative scalar")
         p = 1.0 / (d * top)
-        ops = [np.sqrt(p * d) * m for m in coeff_mats]
-        witness = kraus_process(a, env, ops, tol=np.sqrt(tol))
+        witness = kraus_process(a, env, np.sqrt(p * d) * coeff_mats, tol=np.sqrt(tol))
     return p, witness
 
 

@@ -205,6 +205,30 @@ def test_non_finite_literal_is_positioned():
     assert err.value.line == 4
 
 
+def _closed_weights(state_weight: float, effect_weight: float) -> dict:
+    """A state kraus[[[c], [0]]] and an effect kraus[[[c', 0]]] with c^2, c'^2 the given weights."""
+    s, e = float(np.sqrt(state_weight)), float(np.sqrt(effect_weight))
+    head = f"system q quantum 2;\nstate s on q = kraus[[[{s!r}], [0]]];\n"
+    head += f"effect e on q = kraus[[[{e!r}, 0]]];\n"
+    return {run: head + f"run {run}" for run in ("s", "e", "e . s")}
+
+
+def test_closed_scalar_above_one_by_twice_tol_is_rejected():
+    # each literal is within tol of physical; the closed diagram is (1 + 0.9e-9)^2 = 1 + 1.8e-9
+    texts = _closed_weights(1 + 0.9e-9, 1 + 0.9e-9)
+    assert dsl.run_program(texts["s"]).kind == "state"
+    assert dsl.run_program(texts["e"]).kind == "effect"
+    with pytest.raises(dsl.DslError, match=r"closed diagram evaluated outside \[0, 1\]: 1\.000000001") as err:
+        dsl.run_program(texts["e . s"])
+    assert (err.value.line, err.value.col) == (4, 7)
+
+
+def test_closed_scalar_above_one_within_tol_is_accepted():
+    # (1 + 0.9e-9)(1 + 0.05e-9) = 1 + 0.95e-9 is inside the bound 1 + tol
+    r = dsl.run_program(_closed_weights(1 + 0.9e-9, 1 + 0.05e-9)["e . s"])
+    assert r.kind == "scalar" and 1 + 0.9e-9 < r.payload <= 1 + 1e-9
+
+
 def test_complex_entries_parse():
     text = """
     system A quantum 2;
