@@ -122,10 +122,7 @@ def maximally_entangled_state(a: SystemDescriptor) -> StateVector:
     n = a.total_dim
     comp = tensor_systems(a, a)
     if a.backend == CLASSICAL:
-        coords = np.zeros(n * n)
-        for i in range(n):
-            coords[i * n + i] = 1.0 / n
-        return state_from_coords(comp, coords)
+        return state_from_coords(comp, np.eye(n).reshape(-1) / n)
     vec = np.eye(n).reshape(-1) / np.sqrt(n)
     return state_from_vector(comp, vec)
 
@@ -136,10 +133,7 @@ def maximally_entangled_effect(a: SystemDescriptor) -> EffectVector:
     n = a.total_dim
     comp = tensor_systems(a, a)
     if a.backend == CLASSICAL:
-        coords = np.zeros(n * n)
-        for i in range(n):
-            coords[i * n + i] = 1.0
-        return effect_from_coords(comp, coords)
+        return effect_from_coords(comp, np.eye(n).reshape(-1))
     vec = np.eye(n).reshape(-1) / np.sqrt(n)
     return effect_from_matrix(comp, np.outer(vec, vec.conj()))
 
@@ -244,15 +238,19 @@ def process_space_basis(a: SystemDescriptor, b: SystemDescriptor) -> ProcessSpac
     return ProcessSpaceBasis(a, b, ops, elements)
 
 
-def matrix_rank(mat: np.ndarray, *, rel_tol: float = 1e-9) -> int:
+# every rank counts the singular values above this fraction of the largest one
+_RANK_CUTOFF = 1e-9
+
+
+def matrix_rank(mat: np.ndarray) -> int:
     """Rank with a singular-value cutoff relative to the largest singular value."""
-    return sector_rank([(1, mat)], rel_tol=rel_tol)
+    return sector_rank([(1, mat)])
 
 
-def sector_rank(sectors: list[tuple[int, np.ndarray]], *, rel_tol: float = 1e-9) -> int:
+def sector_rank(sectors: list[tuple[int, np.ndarray]]) -> int:
     """Sum of weight * rank over (weight, matrix) pairs, cut against one scale.
 
-    The cutoff is ``rel_tol`` times the largest singular value over every
+    The cutoff is ``_RANK_CUTOFF`` times the largest singular value over every
     sector of nonzero weight: a sector that vanishes up to round-off (about
     1e-17) would read as rank 1 against its own largest singular value.
     """
@@ -260,7 +258,7 @@ def sector_rank(sectors: list[tuple[int, np.ndarray]], *, rel_tol: float = 1e-9)
     top = max((s[0] for _, s in svals), default=0.0)
     if top == 0.0:
         return 0
-    return sum(w * int(np.sum(s > rel_tol * top)) for w, s in svals)
+    return sum(w * int(np.sum(s > _RANK_CUTOFF * top)) for w, s in svals)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +384,15 @@ def random_ensemble_extension(
     rho: StateVector,
     env: SystemDescriptor,
     seed: int | np.random.Generator | None,
-    n_branches: int = 3,
 ) -> StateVector:
-    """A separable extension sum_x sigma_x (x) tau_x with sum_x sigma_x = rho."""
+    """A separable extension sum_x sigma_x (x) tau_x with sum_x sigma_x = rho, over three branches x."""
     rng = _rng(seed)
     sys = rho.system
     if sys.backend == CLASSICAL:
         return random_extension(rho, env, rng)
     psi = purify(rho)
     ref = SystemDescriptor(sys.backend, psi.system.dims[sys.n_factors :])
-    effects = random_povm(ref, n_branches, rng)
+    effects = random_povm(ref, 3, rng)
     ref_indices = list(range(sys.n_factors, psi.system.n_factors))
     pieces = []
     for e in effects:

@@ -125,10 +125,13 @@ def tensor_systems(a: SystemDescriptor, b: SystemDescriptor) -> SystemDescriptor
 
 
 def subsystem(sys: SystemDescriptor, indices: Sequence[int]) -> SystemDescriptor:
-    """The composite of the selected factors, in the given order."""
-    for i in indices:
+    """The composite of the selected factors, in the given order; every factor selector passes here."""
+    indices = list(indices)
+    for n, i in enumerate(indices):
         if not 0 <= i < sys.n_factors:
             raise ValueError(f"factor selector {i} out of range for {sys}")
+        if i in indices[:n]:
+            raise ValueError(f"factor selector {i} repeated")
     return SystemDescriptor(sys.backend, tuple(sys.dims[i] for i in indices))
 
 
@@ -590,8 +593,9 @@ def lift(p: ProcessRep, anc: SystemDescriptor, *, tol: float = DEFAULT_TOL) -> P
 
 def scale_process(p_scalar: float, proc: ProcessRep, *, tol: float = DEFAULT_TOL) -> ProcessRep:
     """Multiply a process by a probability (coarse-graining / randomization weight)."""
-    if not 0.0 <= p_scalar <= 1.0 + tol:
+    if not -tol <= p_scalar <= 1.0 + tol:
         raise ValueError(f"scale factor must be a probability, got {p_scalar}")
+    p_scalar = max(p_scalar, 0.0)  # within tol below 0, as check_prob_vector allows
     if proc.stoch is not None:
         return stochastic_process(proc.input, proc.output, p_scalar * proc.stoch, tol=tol)
     root = np.sqrt(p_scalar)
@@ -645,51 +649,40 @@ def _on_rows(op: np.ndarray, mat: np.ndarray, left: int) -> np.ndarray:
 # Marginals and contractions
 # ---------------------------------------------------------------------------
 
-def _permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+def _permuted(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """``arr`` with its factors in the order ``perm``: one index per factor per axis.
+
+    Coordinates of a classical state have one axis, a matrix has two.
+    """
     k = len(dims)
-    tens = mat.reshape(*dims, *dims)
-    axes = list(perm) + [k + i for i in perm]
-    new = tens.transpose(axes)
-    n = prod(dims)
-    return new.reshape(n, n)
+    axes = [axis * k + i for axis in range(arr.ndim) for i in perm]
+    return arr.reshape(*dims * arr.ndim).transpose(axes).reshape(arr.shape)
 
 
-def _permute_vector(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    return vec.reshape(*dims).transpose(perm).reshape(-1)
+def _reduce(
+    s: StateVector, effect: EffectVector, keep: Sequence[int], on: Sequence[int], tol: float
+) -> StateVector:
+    """The state left on the ``keep`` factors, in that order, once ``effect`` meets the ``on`` factors.
+
+    The one factor reduction: permute once to (keep, on), then contract
+    Tr_on[(I (x) effect) mat] once.
+    """
+    sys = s.system
+    out_sys = subsystem(sys, keep)
+    perm = list(keep) + list(on)
+    dk = out_sys.total_dim
+    if sys.backend == CLASSICAL:
+        out = _permuted(s.coords, sys.dims, perm).reshape(dk, -1) @ effect.coords
+        return state_from_coords(out_sys, out, tol=tol)
+    m4 = _permuted(s.matrix, sys.dims, perm).reshape(dk, effect.system.total_dim, dk, -1)
+    return state_from_matrix(out_sys, np.einsum("xy,aybx->ab", effect.matrix, m4), tol=tol)
 
 
 def permute_factors(s: StateVector, perm: Sequence[int], *, tol: float = DEFAULT_TOL) -> StateVector:
-    sys = s.system
-    if sorted(perm) != list(range(sys.n_factors)):
-        raise ValueError(f"{perm} is not a permutation of {sys.n_factors} factors")
-    out_sys = subsystem(sys, perm)
-    if sys.backend == CLASSICAL:
-        return state_from_coords(out_sys, _permute_vector(s.coords, sys.dims, perm), tol=tol)
-    return state_from_matrix(out_sys, _permute_matrix(s.matrix, sys.dims, perm), tol=tol)
-
-
-def _contract_matrix(
-    mat: np.ndarray, dims: Sequence[int], effect: np.ndarray, on: Sequence[int]
-) -> np.ndarray:
-    """Tr_on[(I (x) effect) mat] after permuting the contracted factors last."""
-    keep = [i for i in range(len(dims)) if i not in on]
-    perm = keep + list(on)
-    mat = _permute_matrix(mat, dims, perm)
-    dk = prod(dims[i] for i in keep)
-    dd = prod(dims[i] for i in on)
-    m4 = mat.reshape(dk, dd, dk, dd)
-    return np.einsum("xy,aybx->ab", effect, m4)
-
-
-def _contract_vector(
-    vec: np.ndarray, dims: Sequence[int], effect: np.ndarray, on: Sequence[int]
-) -> np.ndarray:
-    keep = [i for i in range(len(dims)) if i not in on]
-    perm = keep + list(on)
-    vec = _permute_vector(vec, dims, perm)
-    dk = prod(dims[i] for i in keep)
-    dd = prod(dims[i] for i in on)
-    return vec.reshape(dk, dd) @ effect
+    """The factors of ``s`` in the order ``perm``: the marginal that keeps every factor."""
+    if sorted(perm) != list(range(s.system.n_factors)):
+        raise ValueError(f"{perm} is not a permutation of {s.system.n_factors} factors")
+    return marginal(s, perm, tol=tol)
 
 
 def contract(
@@ -702,48 +695,21 @@ def contract(
     """
     sys = s.system
     on = list(on)
-    if effect.system != subsystem(sys, on):
-        raise ValueError(
-            f"effect lives on {effect.system}, selected factors form {subsystem(sys, on)}"
-        )
-    keep = [i for i in range(sys.n_factors) if i not in on]
-    out_sys = subsystem(sys, keep)
-    if sys.backend == CLASSICAL:
-        out = _contract_vector(s.coords, sys.dims, effect.coords, on)
-        return state_from_coords(out_sys, out, tol=tol)
-    out = _contract_matrix(s.matrix, sys.dims, effect.matrix, on)
-    return state_from_matrix(out_sys, out, tol=tol)
+    selected = subsystem(sys, on)
+    if effect.system != selected:
+        raise ValueError(f"effect lives on {effect.system}, selected factors form {selected}")
+    return _reduce(s, effect, [i for i in range(sys.n_factors) if i not in on], on, tol)
 
 
-def marginal(
-    s: StateVector,
-    keep: int | Sequence[int],
-    effect: EffectVector | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> StateVector:
-    """Discard the unselected factors with a deterministic effect.
+def marginal(s: StateVector, keep: int | Sequence[int], *, tol: float = DEFAULT_TOL) -> StateVector:
+    """Discard the unselected factors with the unique deterministic effect (Causality).
 
-    By definition of an extension, the marginal of any extension of ``rho``
-    equals ``rho``.  A custom deterministic effect may be supplied for the
-    discarded block; it defaults to the unique one.
+    The kept factors come back in the order given.  By definition of an
+    extension, the marginal of any extension of ``rho`` equals ``rho``.
     """
-    if isinstance(keep, int):
-        keep = [keep]
-    keep = list(keep)
-    for i in keep:
-        if not 0 <= i < s.system.n_factors:
-            raise ValueError(f"factor selector {i} out of range for {s.system}")
+    keep = [keep] if isinstance(keep, int) else list(keep)
     on = [i for i in range(s.system.n_factors) if i not in keep]
-    if effect is None:
-        effect = deterministic_effect(subsystem(s.system, on))
-    elif effect.kind != DETERMINISTIC:
-        raise ValueError("marginal requires a deterministic effect on the discarded factors")
-    reduced = contract(s, effect, on, tol=tol)
-    if keep != sorted(keep):
-        order = list(np.argsort(np.argsort(keep)))
-        reduced = permute_factors(reduced, order, tol=tol)
-    return reduced
+    return _reduce(s, deterministic_effect(subsystem(s.system, on)), keep, on, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +809,7 @@ def randomize(tests: Sequence[Test], probs: Sequence[float], *, tol: float = DEF
     branches = []
     for i, (t, p) in enumerate(zip(tests, probs)):
         for lab, proc in t.branches:
-            branches.append(((i, lab), scale_process(p, proc)))
+            branches.append(((i, lab), scale_process(p, proc, tol=tol)))
     return Test(tuple(branches), _validated=True)
 
 

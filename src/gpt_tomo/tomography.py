@@ -8,6 +8,10 @@ The four levels of identifying a process, from weakest to strongest:
 3. equality on all extensions of a state (``equal_on_extensions``),
 4. full equality as processes (``equal_processes``).
 
+All four are one rule, ``_agree``, over four families of test states: the
+source's states, the states spanning the face of rho, rho's canonical
+extension, and the faithful state.
+
 Tomographic ordering compares bipartite states by the kernels of their
 lifting maps: ``Phi >= Psi`` when processes indistinguishable on Phi are
 indistinguishable on Psi.  A state is dynamically faithful when its lifting
@@ -20,6 +24,7 @@ the tests' differential oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -33,9 +38,9 @@ from .core import (
     StateVector,
     SystemDescriptor,
     Test,
-    apply,
     apply_to_factors,
     matrix_to_coords,
+    _near,
     source_states,
     state_from_coords,
     state_from_matrix,
@@ -54,10 +59,7 @@ def equal_on_source(p: ProcessRep, p2: ProcessRep, source: Test, tol: float = DE
     _check_same_type(p, p2)
     if source.output != p.input:
         raise ValueError(f"source prepares {source.output}, processes expect {p.input}")
-    for _, rho in source_states(source):
-        if not _states_close(apply(p, rho), apply(p2, rho), tol):
-            return False
-    return True
+    return _agree(p, p2, (rho for _, rho in source_states(source)), tol)
 
 
 def _check_same_type(p: ProcessRep, p2: ProcessRep) -> None:
@@ -65,8 +67,11 @@ def _check_same_type(p: ProcessRep, p2: ProcessRep) -> None:
         raise ValueError(f"processes have different types: {p} vs {p2}")
 
 
-def _states_close(a: StateVector, b: StateVector, tol: float) -> bool:
-    return bool(np.abs(a.coords - b.coords).max() <= tol)
+def _agree(p: ProcessRep, p2: ProcessRep, states: Iterable[StateVector], tol: float) -> bool:
+    """The one equality rule: the two outputs lie within ``tol`` on every test state."""
+    return all(
+        _near(apply_to_factors(p, s, 0).coords, apply_to_factors(p2, s, 0).coords, tol) for s in states
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +159,7 @@ def equal_upon_input(
     _check_same_type(p, p2)
     if rho.system != p.input:
         raise ValueError("reference state must live on the process input")
-    for sigma in face_spanning_states(rho, tol=tol):
-        if not _states_close(apply(p, sigma), apply(p2, sigma), tol):
-            return False
-    return True
+    return _agree(p, p2, face_spanning_states(rho, tol=tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +176,7 @@ def canonical_extension(rho: StateVector, *, tol: float = DEFAULT_TOL) -> StateV
     """
     sys = rho.system
     if sys.backend == CLASSICAL:
-        n = sys.total_dim
-        joint = np.zeros(n * n)
-        for i in range(n):
-            joint[i * n + i] = rho.coords[i]
+        joint = np.diag(rho.coords).reshape(-1)  # rho_i at outcome (i, i)
         return state_from_coords(tensor_systems(sys, sys), joint, tol=tol)
     return bk.purify(rho, tol=tol)
 
@@ -195,8 +194,7 @@ def equal_on_extensions(
     _check_same_type(p, p2)
     if rho.system != p.input:
         raise ValueError("reference state must live on the process input")
-    gamma = canonical_extension(rho, tol=tol)
-    return _states_close(apply_to_factors(p, gamma, 0), apply_to_factors(p2, gamma, 0), tol)
+    return _agree(p, p2, [canonical_extension(rho, tol=tol)], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +256,12 @@ def _lifting_sectors(
     return [(dout * (dout + 1) // 2, sym), (dout * (dout - 1) // 2, s - sym)]
 
 
-def lifting_rank(
-    phi: StateVector, a: SystemDescriptor, b: SystemDescriptor, *, rel_tol: float = 1e-9
-) -> int:
+def lifting_rank(phi: StateVector, a: SystemDescriptor, b: SystemDescriptor) -> int:
     """Rank of the lifting map of phi on processes A -> B, decided per sector."""
-    return bk.sector_rank(_lifting_sectors(phi, a, b), rel_tol=rel_tol)
+    return bk.sector_rank(_lifting_sectors(phi, a, b))
 
 
-def tomographically_geq(
-    phi: StateVector,
-    psi: StateVector,
-    a: SystemDescriptor,
-    b: SystemDescriptor,
-    *,
-    rel_tol: float = 1e-9,
-) -> bool:
+def tomographically_geq(phi: StateVector, psi: StateVector, a: SystemDescriptor, b: SystemDescriptor) -> bool:
     """Kernel inclusion ker M_phi <= ker M_psi via stacked-rank comparison.
 
     Both lifting maps act on the same input columns, so the comparison is made
@@ -280,14 +269,12 @@ def tomographically_geq(
     """
     sectors = _lifting_sectors(phi, a, b)
     stacked = [(w, np.vstack([m, m2])) for (w, m), (_, m2) in zip(sectors, _lifting_sectors(psi, a, b))]
-    return bk.sector_rank(stacked, rel_tol=rel_tol) == bk.sector_rank(sectors, rel_tol=rel_tol)
+    return bk.sector_rank(stacked) == bk.sector_rank(sectors)
 
 
-def is_dynamically_faithful(
-    phi: StateVector, a: SystemDescriptor, b: SystemDescriptor, *, rel_tol: float = 1e-9
-) -> bool:
+def is_dynamically_faithful(phi: StateVector, a: SystemDescriptor, b: SystemDescriptor) -> bool:
     """The lifting map on phi is injective on the span of processes A -> B."""
-    return lifting_rank(phi, a, b, rel_tol=rel_tol) == tensor_systems(b, a).state_dim
+    return lifting_rank(phi, a, b) == tensor_systems(b, a).state_dim
 
 
 def faithful_state_check(
@@ -372,5 +359,4 @@ def equal_processes(p: ProcessRep, p2: ProcessRep, tol: float = DEFAULT_TOL) -> 
     Equivalent to coordinate equality in the operational process basis.
     """
     _check_same_type(p, p2)
-    phi = find_faithful_state(p.input)
-    return _states_close(apply_to_factors(p, phi, 0), apply_to_factors(p2, phi, 0), tol)
+    return _agree(p, p2, [find_faithful_state(p.input)], tol)

@@ -16,7 +16,10 @@ eigendecomposition is itself a purification of Gamma, so the connection
 from Psi's purifying system R to E (x) F is an isometry (the reversible map
 with a pure reference fed in), and discarding F leaves the deterministic
 generating channel.  ``_unitary_connecting`` builds both the reversible
-connections and these isometries.
+connections and these isometries, as the polar factor of W1^dag W2.
+
+The reports compare processes with the equality levels of ``tomography``,
+which are one rule over four families of test states.
 """
 
 from __future__ import annotations
@@ -278,39 +281,20 @@ def _pure_vector(s: StateVector, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def _null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis as columns: right singular vectors past 1e-12 relative."""
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    num = int(np.sum(s > 1e-12 * np.amax(s, initial=0.0)))
-    return vh[num:].conj().T
-
-
 def _unitary_connecting(w1: np.ndarray, w2: np.ndarray, *, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """X with W1 X = W2 and X X^dag = I, given W1 W1^dag = W2 W2^dag.
+    """X with W1 X = W2 and X X^dag = I, given W1 W1^dag = W2 W2^dag: the polar factor of W1^dag W2.
 
-    With square W1 and W2, X is the unitary connecting two purifications.
-    When W2 has more columns, X^T is an isometry into the larger purifying
-    system: on the row space of W1 it is W1^+ W2, and the kernel rows are
-    completed with orthonormal rows orthogonal to that image.  The rank of
-    W1 is decided on the eigenvalue scale of W1 W1^dag (s^2 > tol s_max^2),
-    so round-off singular values of a rank-deficient purification are not
-    inverted.  The result is real whenever the inputs are real.
+    With W1^dag W2 = U S V^dag, X = U V^dag.  On the row space of W1 it is
+    W1^+ W2; on the kernel of W1 it is an orthonormal completion.  Nothing
+    is inverted, so a rank-deficient purification needs no cutoff.  With
+    square W1 and W2, X is the unitary connecting two purifications; when W2
+    has more columns, X^T is an isometry into the larger purifying system.
+    Real inputs give a real X.
     """
     if np.abs(w1 @ w1.conj().T - w2 @ w2.conj().T).max() > np.sqrt(tol):
         raise ValueError("no connecting symmetry: the marginals differ")
-    real = bool(np.isrealobj(w1) and np.isrealobj(w2))
-    p1, s1, q1h = np.linalg.svd(w1, full_matrices=False)
-    r = int(np.sum(s1**2 > tol * max(s1[0], 1.0) ** 2)) if s1.size else 0
-    p1, s1, q1h = p1[:, :r], s1[:r], q1h[:r, :]
-    y = (np.diag(1.0 / s1) @ p1.conj().T @ w2) if r else np.zeros((0, w2.shape[1]))
-    q1 = q1h.conj().T
-    q1c = _null_space(q1.conj().T)
-    x = q1 @ y
-    if q1c.shape[1]:
-        x = x + q1c @ _null_space(y).conj().T[: q1c.shape[1]]
-    if real:
-        x = x.real
-    return x
+    u, _, vh = np.linalg.svd(w1.conj().T @ w2, full_matrices=False)
+    return u @ vh
 
 
 def connect_purifications(

@@ -750,6 +750,21 @@ def test_randomize_preparations_averages_to_mixture(rebit):
     assert np.abs(c.mixture([s0, sp], [0.25, 0.75]).coords - avg).max() < 1e-12
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("probs", [[1 + 5e-7, -5e-7], [-5e-7, 1 + 5e-7]])
+def test_randomize_scales_at_its_own_tol(backend, probs):
+    # check_prob_vector accepts both weights at tol = 1e-6, and so must the scaling;
+    # a weight within tol below 0 scales to the zero process
+    a = system(backend, 2)
+    t = c.preparation_test([bk.complete_state(a)])
+    r = c.randomize([t, t], probs, tol=1e-6)
+    unscaled = bk.process_coords(t.branches[0][1])
+    for (_, proc), p in zip(r.branches, probs):
+        assert np.abs(bk.process_coords(proc) - max(p, 0.0) * unscaled).max() < 1e-15
+    # mixture honours the same tol on the same weights
+    assert c.mixture([bk.complete_state(a)] * 2, probs, tol=1e-6).system == a
+
+
 def test_randomize_length_mismatch(qubit):
     t = _bell_measurement(qubit)
     with pytest.raises(ValueError, match="probabilities"):
@@ -804,17 +819,18 @@ def test_marginal_of_bell_is_maximally_mixed(rebit):
         assert np.abs(c.marginal(bell, keep).matrix - I2 / 2).max() < 1e-12
 
 
-def test_marginal_requires_deterministic_effect(qubit):
-    joint = bk.random_state(tensor_systems(qubit, qubit), 8)
-    not_det = c.effect_from_matrix(qubit, np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError, match="deterministic"):
-        c.marginal(joint, 0, not_det)
-
-
 def test_marginal_selector_out_of_range(qubit):
     joint = bk.random_state(tensor_systems(qubit, qubit), 9)
     with pytest.raises(ValueError, match="out of range"):
         c.marginal(joint, [2])
+
+
+def test_repeated_factor_selectors_are_rejected(qubit):
+    bell = bk.maximally_entangled_state(qubit)
+    with pytest.raises(ValueError, match="factor selector 0 repeated"):
+        c.marginal(bell, [0, 0])
+    with pytest.raises(ValueError, match="factor selector 1 repeated"):
+        c.contract(bell, c.deterministic_effect(tensor_systems(qubit, qubit)), [1, 1])
 
 
 def test_marginal_of_extension_recovers_the_state(qubit):

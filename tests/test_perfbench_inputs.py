@@ -6,11 +6,15 @@ library constructor they call on seeded inputs is exercised here.  The
 workload modules are imported as they are, never modified.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from gpt_tomo import witnesses as wt
 
-from conftest import perfbench_module
+from conftest import PERFBENCH, perfbench_module
 
 small = perfbench_module("small")
 circuits = perfbench_module("circuits")
@@ -53,6 +57,35 @@ def test_one_cycle_verifies(warmed, module):
         if why:
             failures.append(f"{check.name}: {why}")
     assert failures == []
+
+
+@pytest.mark.parametrize("module", [small, circuits], ids=["small-checks", "deep-circuit"])
+def test_two_consecutive_cycles_verify(warmed, module):
+    # a timed run repeats its cycle over the same checks in one process
+    checks = module.generate(1)
+    failures = []
+    for cycle in (1, 2):
+        for check in checks:
+            why = module.verify(check, module.run_check(check))
+            if why:
+                failures.append(f"cycle {cycle} {check.name}: {why}")
+    assert failures == []
+
+
+@pytest.mark.parametrize("workload", ["small-checks", "deep-circuit"])
+def test_setup_probe_exits_cleanly(workload):
+    # the probe imports the package and warms the caches in a fresh interpreter
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), workload],
+        cwd=PERFBENCH.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_witness_spans_count_the_checks_builders():

@@ -13,6 +13,7 @@ from gpt_tomo.core import CLASSICAL, QUANTUM, REAL, system, tensor_systems
 from gpt_tomo.rebit import wootters_pair
 from gpt_tomo.reports import UsageError
 
+from composite_oracles import contract_matrix, unitary_connecting
 from conftest import I2
 
 
@@ -177,7 +178,7 @@ def _choi_by_kron_loop(effect, gamma, d):
     eye = np.eye(d)
     for i, j in np.ndindex(d, d):
         unit = np.outer(eye[i], eye[j])
-        image = c._contract_matrix(np.kron(unit, gamma.matrix), [d, d, d], effect.matrix, [0, 1])
+        image = contract_matrix(np.kron(unit, gamma.matrix), [d, d, d], effect.matrix, [0, 1])
         choi += np.kron(image, unit)
     return choi
 
@@ -350,7 +351,7 @@ def _channel_by_d4_unitary(psi, gamma, tol=1e-9):
     v1 = np.kron(wt._pure_vector(psi, tol=tol), ref_ef)
     v2 = np.kron(wt._pure_vector(phi_g, tol=tol), ref_r)
     v2 = v2.reshape(n_a, n_e * n_f, n_r).transpose(0, 2, 1).reshape(-1)
-    u = wt._unitary_connecting(v1.reshape(n_a, -1), v2.reshape(n_a, -1), tol=tol).T
+    u = unitary_connecting(v1.reshape(n_a, -1), v2.reshape(n_a, -1), tol=tol).T
     assert u.shape == (n_r * n_e * n_f,) * 2
     blocks = u.reshape(n_r * n_e * n_f, n_r, n_e * n_f)[:, :, 0].reshape(n_r, n_e, n_f, n_r)
     ops = [blocks[r, :, f, :] for r in range(n_r) for f in range(n_f)]
@@ -617,6 +618,52 @@ def test_purification_check_fails_on_a_reversible_but_wrong_connection(monkeypat
     assert rep.passed is False
     assert rep.details["connection_reversible"] is True
     assert rep.details["connection_max_deviation"] > 0.05
+
+
+# near-bound controls: a witness off by about ten times the 1e-9 bound, so a
+# bound loosened towards 1e-3 lets the report pass
+
+def _rotation(n, angle):
+    """A rotation by ``angle`` in the plane of the first two basis vectors."""
+    rot = np.eye(n)
+    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return rot
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3])
+def test_purification_check_fails_on_a_connection_rotated_by_1e_8(monkeypatch, backend, d):
+    build = wt.connect_purifications
+
+    def rotated(*args, **kwargs):
+        u = build(*args, **kwargs)
+        return c.compose(c.kraus_process(u.output, u.output, [_rotation(d, 1e-8)]), u)
+
+    monkeypatch.setattr(wt, "connect_purifications", rotated)
+    rep = wt.purification_check(backend, d)
+    assert rep.passed is False
+    assert rep.details["connection_reversible"] is True
+    assert 1e-9 < rep.details["connection_max_deviation"] < 1e-7
+
+
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+@pytest.mark.parametrize("d", [2, 3])
+def test_universal_extension_check_fails_on_1e_8_of_a_replace_channel(monkeypatch, backend, d):
+    build = wt.channel_from_purification
+    eps = 1e-8
+
+    def mixed(*args, **kwargs):
+        t_proc = build(*args, **kwargs)
+        # replace every input with the first basis state
+        ops = [np.outer(np.eye(d)[0], row) for row in np.eye(d)]
+        replace = c.kraus_process(t_proc.input, t_proc.output, ops)
+        return c.add_processes([c.scale_process(1.0 - eps, t_proc), c.scale_process(eps, replace)])
+
+    monkeypatch.setattr(wt, "channel_from_purification", mixed)
+    rep = wt.universal_extension_check(backend, d, samples=2)
+    assert rep.passed is False
+    assert 1e-9 < rep.details["purification_max_residual"] < 1e-7
+    assert rep.details["teleportation_max_residual"] < 1e-12
 
 
 @pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
