@@ -37,6 +37,7 @@ from .core import (
     ProcessRep,
     StateVector,
     SystemDescriptor,
+    _state_rep,
     apply_to_factors,
     choi,
     contract,
@@ -276,7 +277,7 @@ def random_state(sys: SystemDescriptor, seed: int | np.random.Generator | None) 
     if sys.backend == QUANTUM:
         g = g + 1j * rng.normal(size=(n, n))
     w = g @ g.conj().T
-    return state_from_matrix(sys, w / np.trace(w).real)
+    return _state_rep(sys, w / np.trace(w).real, DEFAULT_TOL)  # a Gram matrix needs no eigenvalue test
 
 
 def random_pure_state(sys: SystemDescriptor, seed: int | np.random.Generator | None) -> StateVector:
@@ -307,7 +308,7 @@ def random_rank_deficient_state(
     if sys.backend == QUANTUM:
         g = g + 1j * rng.normal(size=(n, rank))
     w = g @ g.conj().T
-    return state_from_matrix(sys, w / np.trace(w).real)
+    return _state_rep(sys, w / np.trace(w).real, DEFAULT_TOL)
 
 
 def random_process(

@@ -26,7 +26,9 @@ composite systems.
 Scalars are plain nonnegative floats; a scalar is cancellative exactly when
 it is strictly positive.  All values are immutable after construction and
 every operation is a pure function.  A validated quantum-family state or
-effect keeps, read-only, the matrix its positivity test ran on.
+effect keeps, read-only, the matrix rebuilt from its coordinates.  The
+public constructors test positivity on it; images of completely positive
+maps are positive by construction and skip that test (``_state_rep``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from numbers import Integral
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -159,33 +162,49 @@ def coords_to_matrix(sys: SystemDescriptor, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (sys.state_dim,):
         raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
+    return _matrices(sys, coords)
+
+
+def _matrices(sys: SystemDescriptor, coords: np.ndarray) -> np.ndarray:
+    """``coords_to_matrix`` on a stack (..., state_dim) of coordinate rows, giving (..., n, n)."""
+    n = sys.total_dim
     rows, cols = _upper(n)
     m = len(rows)
-    upper = coords[n : n + m]
+    upper = coords[..., n : n + m]
     if sys.backend == QUANTUM:
-        upper = upper - 1j * coords[n + m :]
+        upper = upper - 1j * coords[..., n + m :]
     upper = upper * _INV_SQRT2
-    mat = np.zeros((n, n), dtype=upper.dtype)
-    mat.flat[:: n + 1] = coords[:n]
-    mat[rows, cols] = upper
-    mat[cols, rows] = upper.conj()
+    mat = np.zeros((*coords.shape[:-1], n, n), dtype=upper.dtype)
+    mat.reshape(*coords.shape[:-1], -1)[..., :: n + 1] = coords[..., :n]
+    mat[..., rows, cols] = upper
+    mat[..., cols, rows] = upper.conj()
     return mat
 
 
 def matrix_to_coords(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Project a matrix onto the system's basis, checking it is representable.
 
-    The projection is the Hermitian part H, with each off-diagonal coordinate
-    summed from M_ij and M_ji term by term as a dense projection rounds it.
-    For the real backend the residue max|M - H| rejects imaginary or
-    antisymmetric parts above ``tol``; that check is what catches processes
-    that would leak out of the real-symmetric state space.
+    The one-matrix case of ``_projection``, with the shape checked.
     """
     n = _matrix_dim(sys)
     mat = np.asarray(mat)
     if mat.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix for {sys}, got shape {mat.shape}")
-    herm = (mat + mat.conj().T) / 2
+    return _projection(sys, mat, tol)
+
+
+def _projection(sys: SystemDescriptor, mat: np.ndarray, tol: float) -> np.ndarray:
+    """Coordinates of a matrix, or of each matrix in a stack (..., n, n), checking they are representable.
+
+    The projection is the Hermitian part H, with each off-diagonal coordinate
+    summed from M_ij and M_ji term by term as a dense projection rounds it.
+    For the real backend the residue max|M - H| rejects imaginary or
+    antisymmetric parts above ``tol``; that check is what catches processes
+    that would leak out of the real-symmetric state space.  A stack gives
+    each matrix's coordinates bit for bit; its largest residue decides.
+    """
+    n = mat.shape[-1]
+    herm = (mat + mat.conj().swapaxes(-1, -2)) / 2
     if sys.backend != QUANTUM:
         herm = herm.real
     residue = np.abs(mat - herm).max()
@@ -195,11 +214,14 @@ def matrix_to_coords(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEF
         )
     rows, cols = _upper(n)
     re = mat.real
-    blocks = [re.diagonal(), re[rows, cols] * _INV_SQRT2 + re[cols, rows] * _INV_SQRT2]
+    blocks = [
+        re.diagonal(axis1=-2, axis2=-1),
+        re[..., rows, cols] * _INV_SQRT2 + re[..., cols, rows] * _INV_SQRT2,
+    ]
     if sys.backend == QUANTUM:
         im = mat.imag
-        blocks.append(im[cols, rows] * _INV_SQRT2 - im[rows, cols] * _INV_SQRT2)
-    return np.concatenate(blocks) + 0.0  # -0.0 -> 0.0, as a sum over the whole basis gives
+        blocks.append(im[..., cols, rows] * _INV_SQRT2 - im[..., rows, cols] * _INV_SQRT2)
+    return np.concatenate(blocks, axis=-1) + 0.0  # -0.0 -> 0.0, as a sum over the whole basis gives
 
 
 def _lock(arr: np.ndarray, dtype: type = float) -> np.ndarray:
@@ -223,7 +245,7 @@ class StateVector:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Density-matrix form (quantum family only), held since validation when it built one."""
+        """Density-matrix form (quantum family only), held since construction when it built one."""
         return coords_to_matrix(self.system, self.coords) if self._matrix is None else self._matrix
 
     @property
@@ -278,17 +300,35 @@ def state_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float =
     if coords.shape != (sys.state_dim,):
         raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
     _require_finite(coords, "state coordinates")
-    mat = None
     if sys.backend == CLASSICAL:
         if coords.min() < -tol:
             raise ValueError(f"classical state has negative entry {coords.min():.3e}")
-        total = coords.sum()
-    else:
-        mat = coords_to_matrix(sys, coords)
-        low = _min_eig(mat)
-        if low < -tol:
-            raise ValueError(f"state matrix has negative eigenvalue {low:.3e}")
-        total = float(np.trace(mat).real)
+        return _weighed(sys, coords, coords.sum(), None, tol)
+    mat = coords_to_matrix(sys, coords)
+    low = _min_eig(mat)
+    if low < -tol:
+        raise ValueError(f"state matrix has negative eigenvalue {low:.3e}")
+    return _weighed(sys, coords, float(np.trace(mat).real), mat, tol)
+
+
+def _state_rep(sys: SystemDescriptor, mat: np.ndarray, tol: float) -> StateVector:
+    """The state of a matrix known to be positive: every check of ``state_from_matrix`` but ``eigvalsh``.
+
+    The state counterpart of ``_kraus_rep``, for images of validated states
+    under completely positive maps (Choi, LAA 10, 285 (1975)) and for vv^dag
+    and gg^dag/tr.  An image inherits its input's slack: it can be negative
+    by at most the sum of the input's negative eigenvalues, each >= -tol.
+    """
+    coords = matrix_to_coords(sys, mat, tol=tol)
+    _require_finite(coords, "state coordinates")
+    held = coords_to_matrix(sys, coords)
+    return _weighed(sys, coords, float(np.trace(held).real), held, tol)
+
+
+def _weighed(
+    sys: SystemDescriptor, coords: np.ndarray, total: float, mat: np.ndarray | None, tol: float
+) -> StateVector:
+    """The weight check and kind flag every state constructor ends with."""
     if total > 1.0 + tol:
         raise ValueError(f"state weight {total} exceeds 1")
     kind = DETERMINISTIC if abs(total - 1.0) <= tol else SUBNORMALIZED
@@ -300,9 +340,9 @@ def state_from_matrix(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DE
 
 
 def state_from_vector(sys: SystemDescriptor, vec: np.ndarray, *, tol: float = DEFAULT_TOL) -> StateVector:
-    """Pure state from a (possibly subnormalized) Hilbert-space vector."""
+    """Pure state from a (possibly subnormalized) Hilbert-space vector; vv^dag needs no eigenvalue test."""
     vec = np.asarray(vec)
-    return state_from_matrix(sys, np.outer(vec, vec.conj()), tol=tol)
+    return _state_rep(sys, np.outer(vec, vec.conj()), tol)
 
 
 def effect_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float = DEFAULT_TOL) -> EffectVector:
@@ -352,7 +392,7 @@ def tensor_states(s: StateVector, t: StateVector, *, tol: float = DEFAULT_TOL) -
     sys = tensor_systems(s.system, t.system)
     if s.system.backend == CLASSICAL:
         return state_from_coords(sys, np.kron(s.coords, t.coords), tol=tol)
-    return state_from_matrix(sys, np.kron(s.matrix, t.matrix), tol=tol)
+    return _state_rep(sys, np.kron(s.matrix, t.matrix), tol)
 
 
 def tensor_effects(e: EffectVector, f: EffectVector, *, tol: float = DEFAULT_TOL) -> EffectVector:
@@ -617,9 +657,9 @@ def apply_to_factors(
 ) -> StateVector:
     """Apply ``p`` to the contiguous factor block of ``s`` beginning at ``start``.
 
-    The one process action (``apply`` is its whole-system case): all
-    operators act at once on the block's rows by ``_on_rows``, never as
-    I (x) K (x) I, and the k terms K rho K^dag are summed over the stack.
+    The one-state case of ``_act`` (``apply`` is its whole-system case).  A
+    quantum-family image is a state by complete positivity, so ``_state_rep``
+    builds it without an eigenvalue test.
     """
     sys = s.system
     k = p.input.n_factors
@@ -630,19 +670,74 @@ def apply_to_factors(
     left = prod(sys.dims[:start])
     out_sys = SystemDescriptor(sys.backend, sys.dims[:start] + p.output.dims + sys.dims[start + k :])
     if p.stoch is not None:
-        return state_from_coords(out_sys, _on_rows(p.stoch, s.coords[:, None], left).ravel(), tol=tol)
-    half = _on_rows(p.kraus, s.matrix, left).conj().transpose(0, 2, 1)  # (K rho)^dag per K
-    return state_from_matrix(out_sys, _on_rows(p.kraus, half, left).sum(axis=0).conj().T, tol=tol)
+        return state_from_coords(out_sys, _act(p, s.coords[None, :, None], left)[0, :, 0], tol=tol)
+    return _state_rep(out_sys, _act(p, s.matrix[None], left)[0], tol)
+
+
+def _act(p: ProcessRep, arr: np.ndarray, left: int) -> np.ndarray:
+    """The one process action: ``p`` on one factor block of every state in a stack.
+
+    ``arr`` is m matrices (m, n, n), or m classical coordinate columns
+    (m, n, 1); ``left`` is the dimension of the factors before the block.
+    All operators act at once by ``_on_rows``, never as I (x) K (x) I, and
+    the k terms K rho K^dag are summed.  A state's image is bit for bit the
+    one a stack of one gives.
+    """
+    if p.stoch is not None:
+        return _on_rows(p.stoch, arr, left)
+    ops = p.kraus[:, None]  # an operator axis ahead of the state axis
+    half = _on_rows(ops, arr, left).conj().swapaxes(-1, -2)  # (K rho)^dag per K and state
+    return _on_rows(ops, half, left).sum(axis=0).conj().swapaxes(-1, -2)
 
 
 def _on_rows(op: np.ndarray, mat: np.ndarray, left: int) -> np.ndarray:
     """(I_left (x) op (x) I_right) @ mat by a reshape (Wood, Biamonte & Cory, QIC 15, 759 (2015)).
 
-    A stack of operators (k, d_out, d_in) acts on ``mat`` once per operator,
-    or on a matching stack (k, n, m) one matrix per operator.
+    ``op`` (..., d_out, d_in) and ``mat`` (..., n, m) broadcast over their
+    leading axes: a stack of operators acts on one matrix once per operator,
+    or on a matching stack one matrix per operator.
     """
     rows = mat.reshape(*mat.shape[:-2], left, op.shape[-1], -1)
-    return (op[..., None, :, :] @ rows).reshape(*op.shape[:-2], -1, mat.shape[-1])
+    out = op[..., None, :, :] @ rows
+    return out.reshape(*out.shape[:-3], -1, mat.shape[-1])
+
+
+def _images(procs: Sequence[ProcessRep], states: Sequence[StateVector]) -> list[np.ndarray]:
+    """Coordinate rows (m, state_dim) of each process's images of m states on one system.
+
+    The processes share one type and act on the first factors.  The states
+    are stacked once, each process acts once on the stack (``_act``), and
+    each image stack is projected and checked once (``_checked_images``).
+    """
+    sys, first = states[0].system, procs[0]
+    out_sys = SystemDescriptor(sys.backend, first.output.dims + sys.dims[first.input.n_factors :])
+    if sys.backend == CLASSICAL:
+        stack = np.stack([s.coords for s in states])[..., None]
+    else:
+        stack = np.stack([s.matrix for s in states])
+    return [_checked_images(out_sys, _act(q, stack, 1)) for q in procs]
+
+
+def _checked_images(sys: SystemDescriptor, arr: np.ndarray) -> np.ndarray:
+    """Coordinate rows (m, state_dim) of a stack of ``_act`` images on ``sys``.
+
+    The checks ``apply_to_factors`` runs on each image, with the same
+    messages, on the whole stack at the default tolerance: residue (quantum
+    family) or sign (classical), finite, weight.
+    """
+    if sys.backend == CLASSICAL:
+        coords = arr[..., 0]
+        _require_finite(coords, "state coordinates")
+        if coords.min() < -DEFAULT_TOL:
+            raise ValueError(f"classical state has negative entry {coords.min():.3e}")
+    else:
+        coords = _projection(sys, arr, DEFAULT_TOL)
+        _require_finite(coords, "state coordinates")
+    totals = coords[:, : sys.total_dim].sum(axis=1)
+    over = totals[totals > 1.0 + DEFAULT_TOL]
+    if over.size:
+        raise ValueError(f"state weight {over[0]} exceeds 1")
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +760,8 @@ def _reduce(
     """The state left on the ``keep`` factors, in that order, once ``effect`` meets the ``on`` factors.
 
     The one factor reduction: permute once to (keep, on), then contract
-    Tr_on[(I (x) effect) mat] once.
+    Tr_on[(I (x) effect) mat] once.  That contraction is completely
+    positive, so ``_state_rep`` builds a quantum-family result.
     """
     sys = s.system
     out_sys = subsystem(sys, keep)
@@ -675,7 +771,7 @@ def _reduce(
         out = _permuted(s.coords, sys.dims, perm).reshape(dk, -1) @ effect.coords
         return state_from_coords(out_sys, out, tol=tol)
     m4 = _permuted(s.matrix, sys.dims, perm).reshape(dk, effect.system.total_dim, dk, -1)
-    return state_from_matrix(out_sys, np.einsum("xy,aybx->ab", effect.matrix, m4), tol=tol)
+    return _state_rep(out_sys, np.einsum("xy,aybx->ab", effect.matrix, m4), tol)
 
 
 def permute_factors(s: StateVector, perm: Sequence[int], *, tol: float = DEFAULT_TOL) -> StateVector:
@@ -707,7 +803,7 @@ def marginal(s: StateVector, keep: int | Sequence[int], *, tol: float = DEFAULT_
     The kept factors come back in the order given.  By definition of an
     extension, the marginal of any extension of ``rho`` equals ``rho``.
     """
-    keep = [keep] if isinstance(keep, int) else list(keep)
+    keep = [keep] if isinstance(keep, Integral) else list(keep)
     on = [i for i in range(s.system.n_factors) if i not in keep]
     return _reduce(s, deterministic_effect(subsystem(s.system, on)), keep, on, tol)
 

@@ -21,7 +21,8 @@ from .core import (
     DEFAULT_TOL,
     ProcessRep,
     StateVector,
-    apply,
+    _images,
+    _matrices,
     apply_to_factors,
     kraus_process,
     pair,
@@ -138,9 +139,8 @@ def counterexample_report(
     probes = bk.spanning_states(REBIT)
     rng = np.random.default_rng(seed)
     probes += [bk.random_state(REBIT, rng) for _ in range(n_random)]
-    for rho in probes:
-        dev = max(dev, float(np.linalg.norm(apply(p, rho).matrix - mix)))
-        dev = max(dev, float(np.linalg.norm(apply(p2, rho).matrix - mix)))
+    for coords in _images((p, p2), probes):  # each channel once, on the stack of probes
+        dev = max(dev, max(float(np.linalg.norm(out - mix)) for out in _matrices(REBIT, coords)))
 
     bell = bk.maximally_entangled_state(REBIT)
     out1 = apply_to_factors(p, bell, 0)

@@ -38,12 +38,12 @@ from .core import (
     StateVector,
     SystemDescriptor,
     Test,
-    apply_to_factors,
     matrix_to_coords,
+    _images,
     _near,
+    _state_rep,
     source_states,
     state_from_coords,
-    state_from_matrix,
     system,
     tensor_systems,
 )
@@ -68,10 +68,20 @@ def _check_same_type(p: ProcessRep, p2: ProcessRep) -> None:
 
 
 def _agree(p: ProcessRep, p2: ProcessRep, states: Iterable[StateVector], tol: float) -> bool:
-    """The one equality rule: the two outputs lie within ``tol`` on every test state."""
-    return all(
-        _near(apply_to_factors(p, s, 0).coords, apply_to_factors(p2, s, 0).coords, tol) for s in states
-    )
+    """The one equality rule: the two outputs lie within ``tol`` on every test state.
+
+    The test states all live on ``p.input``, followed by the reference
+    factors on the extension levels.  They form one stack: each process acts
+    on it once and both image stacks are projected once (``core._images``,
+    with the residue, finite and weight checks at the default tolerance),
+    and one ``_near`` over every coordinate of every image decides.  No
+    output state is built.  An empty family agrees.
+    """
+    states = list(states)
+    if not states:
+        return True
+    out, out2 = _images((p, p2), states)
+    return _near(out, out2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,12 @@ def is_complete(rho: StateVector, *, tol: float = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 def face_spanning_states(rho: StateVector, *, tol: float = DEFAULT_TOL) -> list[StateVector]:
-    """Deterministic states spanning the face of rho (states contained in rho)."""
+    """Deterministic states spanning the face of rho (states contained in rho).
+
+    On the quantum family each is V sigma V^dag for a spanning state sigma of
+    the support and the isometry V onto it, a completely positive image, so
+    ``_state_rep`` builds it without an eigenvalue test.
+    """
     sys = rho.system
     if sys.backend == CLASSICAL:
         points = bk.spanning_states(sys)
@@ -148,7 +163,7 @@ def face_spanning_states(rho: StateVector, *, tol: float = DEFAULT_TOL) -> list[
     out = []
     for small_state in bk.spanning_states(small):
         emb = support @ small_state.matrix @ support.conj().T
-        out.append(state_from_matrix(sys, emb))
+        out.append(_state_rep(sys, emb, DEFAULT_TOL))
     return out
 
 

@@ -819,6 +819,14 @@ def test_marginal_of_bell_is_maximally_mixed(rebit):
         assert np.abs(c.marginal(bell, keep).matrix - I2 / 2).max() < 1e-12
 
 
+@pytest.mark.parametrize("selector", [np.int64(1), np.intp(1), np.int32(1), np.flatnonzero([0, 1])[0]])
+def test_marginal_takes_a_numpy_integer_as_one_selector(rebit, selector):
+    joint = c.tensor_states(bk.random_state(rebit, 3), bk.random_state(rebit, 4))
+    out = c.marginal(joint, selector)
+    assert out.system == rebit
+    assert np.array_equal(out.coords, c.marginal(joint, 1).coords)
+
+
 def test_marginal_selector_out_of_range(qubit):
     joint = bk.random_state(tensor_systems(qubit, qubit), 9)
     with pytest.raises(ValueError, match="out of range"):

@@ -146,13 +146,13 @@ def test_apply_to_factors_matches_the_sum_over_operators(monkeypatch, backend, s
     procs = [channel(rng, block, system(backend, d), k) for d in (1, 2, 3) for k in (1, 2, 5)]
     procs.append(c.preparation_process(bk.random_state(system(backend, 2), rng)))  # inserts a factor
     seen = []
-    state_from_matrix = c.state_from_matrix
+    state_from_matrix, state_rep = c.state_from_matrix, c._state_rep
 
-    def capture(sys, mat, **kw):
+    def capture(sys, mat, tol):
         seen.append(mat)
-        return state_from_matrix(sys, mat, **kw)
+        return state_rep(sys, mat, tol)
 
-    monkeypatch.setattr(c, "state_from_matrix", capture)
+    monkeypatch.setattr(c, "_state_rep", capture)
     for p in procs:
         at = start + 1 if p.input.is_trivial else start  # a preparation goes between factors
         out = c.apply_to_factors(p, s, at)

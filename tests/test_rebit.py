@@ -1,5 +1,7 @@
 """The real-backend counterexample, end to end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,23 @@ def test_counterexample_check_fails_on_a_wrong_faithful_rank(monkeypatch):
     assert rep.passed is False
     assert rep.details["faithful_rank"] == 9
     assert rep.details["max_local_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "field, bound, value",
+    [
+        ("max_local_deviation", 1e-12, lambda x: x),
+        ("orthogonality_gap", 1e-12, lambda x: x),
+        ("trace_distance", 1e-9, lambda x: 1.0 + x),
+        ("local_stats_max_gap", 1e-12, lambda x: x),
+    ],
+)
+def test_counterexample_check_decides_each_threshold_at_its_bound(monkeypatch, field, bound, value):
+    """Each number at 0.5x its bound passes and at 10x fails: loosening or dropping any threshold shows."""
+    real = rebit.counterexample_report(seed=0)
+    for factor, passes in ((0.5, True), (10.0, False)):
+        doctored = replace(real, **{field: value(factor * bound)})
+        monkeypatch.setattr(rebit, "counterexample_report", lambda tol, seed=0, _rep=doctored: _rep)
+        rep = rebit.counterexample_check()
+        assert rep.passed is passes, (field, factor)
+        assert rep.details[field] == value(factor * bound)

@@ -713,6 +713,66 @@ def test_equal_processes_matches_coordinate_equality(qubit):
 
 
 # ---------------------------------------------------------------------------
+# the stacked equality rule at its bound, against the per-state twin
+# ---------------------------------------------------------------------------
+
+def agree_twin(p, p2, states, tol):
+    """The equality rule one test state at a time, as it ran before the states were stacked."""
+    return all(
+        np.abs(c.apply_to_factors(p, s, 0).coords - c.apply_to_factors(p2, s, 0).coords).max() <= tol
+        for s in states
+    )
+
+
+def deviations(p, p2, states):
+    return [np.abs(c.apply_to_factors(p, s, 0).coords - c.apply_to_factors(p2, s, 0).coords).max() for s in states]
+
+
+def equality_level(level, a, rng):
+    """The level's verdict as a function of p, p2, and the test states ``_agree`` sees."""
+    if level == "source":
+        source = spanning_source(a)
+        return (lambda p, p2: tm.equal_on_source(p, p2, source)), [s for _, s in c.source_states(source)]
+    rho = bk.random_state(a, rng)
+    if level == "upon-input":
+        return (lambda p, p2: tm.equal_upon_input(p, p2, rho)), tm.face_spanning_states(rho)
+    if level == "extensions":
+        return (lambda p, p2: tm.equal_on_extensions(p, p2, rho)), [tm.canonical_extension(rho)]
+    return tm.equal_processes, [tm.find_faithful_state(a)]
+
+
+@pytest.mark.parametrize("backend", [CLASSICAL, QUANTUM, REAL])
+@pytest.mark.parametrize("level", ["source", "upon-input", "extensions", "processes"])
+def test_equality_levels_decide_at_tol_on_the_one_state_that_moves(backend, level):
+    """p2 mixes a weight eps of p o R into p, where R replaces every input by the first test state.
+
+    The deviation eps * max|p(s) - p(R(s))| vanishes on the first test state
+    and is largest on a later one; eps puts it at 0.5 tol and at 2 tol.
+    """
+    tol = c.DEFAULT_TOL
+    rng = np.random.default_rng(61)
+    a = system(backend, 3)
+    decide, states = equality_level(level, a, rng)
+    p = bk.random_process(a, a, rng)
+    first = states[0]  # a source's states are subnormalized: R prepares first / weight
+    target = c.state_from_coords(a, first.coords / first.weight) if first.system == a else bk.complete_state(a)
+    replace = c.compose(c.preparation_process(target), c.effect_process(c.deterministic_effect(a)))
+    q = c.compose(p, replace)
+    full = deviations(p, q, states)
+    if len(states) > 1:
+        assert full[0] < 1e-12 * max(full) and int(np.argmax(full)) > 0
+    for factor in (0.5, 2.0):
+        eps = factor * tol / max(full)
+        p2 = c.add_processes([c.scale_process(1.0 - eps, p), c.scale_process(eps, q)])
+        dev = deviations(p, p2, states)
+        assert abs(max(dev) - factor * tol) < 1e-3 * tol
+        assert len(states) == 1 or dev[0] < 1e-3 * tol
+        verdict = decide(p, p2)
+        assert verdict is (factor < 1.0)
+        assert verdict is agree_twin(p, p2, states, tol)
+
+
+# ---------------------------------------------------------------------------
 # structural facts as property tests
 # ---------------------------------------------------------------------------
 
