@@ -85,6 +85,30 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
         "rep.local_stats_max_gap <= 1e-12",
         "rep.local_stats_max_gap <= 1e-3",
     ),
+    (
+        "_projection: classical projection keeps off-diagonals",
+        "src/gpt_tomo/core.py",
+        "    if sys.backend == CLASSICAL:\n        herm = _matrices(",
+        "    if False:\n        herm = _matrices(",
+    ),
+    (
+        "is_locally_tomographic: product-effect span rank not compared",
+        "src/gpt_tomo/tomography.py",
+        "    passed = dim_composite == dim_product and rank == dim_composite\n",
+        "    passed = dim_composite == dim_product\n",
+    ),
+    (
+        "purification_check: marginal bound 1e-3",
+        "src/gpt_tomo/witnesses.py",
+        "        marginal_dev <= max(tol, 1e-12)\n",
+        "        marginal_dev <= 1e-3\n",
+    ),
+    (
+        "faithful_state_check: rank span - 1 accepted",
+        "src/gpt_tomo/tomography.py",
+        '"dynamically-faithful", rank == span,',
+        '"dynamically-faithful", rank >= span - 1,',
+    ),
 )
 
 

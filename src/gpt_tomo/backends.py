@@ -4,7 +4,8 @@ The three backends supply everything the tomography layer treats as given:
 fiducial families that span the state and effect spaces, a canonical complete
 (full-rank / full-support) state, purifications for the quantum family, a
 spanning set of the *operational* span of processes, and seeded generators
-for property tests.
+for property tests.  Classical states and effects are diagonal matrices, so
+the fixed families and the process basis cut one pure family per backend.
 
 Operational process coordinates deserve a note.  A process is identified by
 its action on all composites, not by its single-system transfer matrix (the
@@ -12,11 +13,12 @@ whole point of the real backend).  We therefore coordinatize a process by a
 Choi-style object: the lifted action on the unnormalized maximally correlated
 state ``sum_ij E_ij (x) E_ij``.  For the complex backend that object ranges
 over all Hermitian matrices on B (x) A, giving span dimension (d_A d_B)^2; for
-the real backend over real symmetric matrices; for the classical backend the
-process matrix itself is the coordinate.  The process-space basis is plain
-arrays, the polarization operators and their coordinate matrix; the latter
-is square and lower triangular with a nonzero diagonal in every backend, so
-the builder asserts that structure instead of taking a numerical rank.
+the real backend over real symmetric matrices; for the classical backend over
+diagonal ones, whose diagonal is the stochastic matrix itself.  The
+process-space basis is plain arrays, the polarization operators and their
+coordinate matrix; the latter is square and lower triangular with a nonzero
+diagonal in every backend, so the builder asserts that structure instead of
+taking a numerical rank.
 
 The fixed families (spanning sets, complete and maximally entangled states and
 effects) and process-space bases are built and validated once per system per
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, islice
+
 import numpy as np
 
 from .core import (
@@ -64,18 +68,19 @@ def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 # Spanning families and complete states
 # ---------------------------------------------------------------------------
 
-def _pure_family(n: int, complex_pairs: bool) -> list[np.ndarray]:
-    """Vectors e_i, (e_i+e_j)/sqrt2 and, for the complex case, (e_i+i e_j)/sqrt2."""
+def _pure_family(sys: SystemDescriptor) -> list[np.ndarray]:
+    """Vectors e_i, then (e_i+e_j)/sqrt2, then (e_i+i e_j)/sqrt2 over i < j, cut at ``sys.state_dim``.
+
+    The cut gives each backend its family; vectors past it are never formed.
+    """
+    n = sys.total_dim
     eye = np.eye(n)
-    vecs = [eye[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            vecs.append((eye[i] + eye[j]) / np.sqrt(2.0))
-    if complex_pairs:
-        for i in range(n):
-            for j in range(i + 1, n):
-                vecs.append((eye[i] + 1j * eye[j]) / np.sqrt(2.0))
-    return vecs
+    family = chain(
+        (eye[i] for i in range(n)),
+        ((eye[i] + eye[j]) / np.sqrt(2.0) for i, j in combinations(range(n), 2)),
+        ((eye[i] + 1j * eye[j]) / np.sqrt(2.0) for i, j in combinations(range(n), 2)),
+    )
+    return list(islice(family, sys.state_dim))
 
 
 def spanning_states(sys: SystemDescriptor) -> list[StateVector]:
@@ -85,10 +90,7 @@ def spanning_states(sys: SystemDescriptor) -> list[StateVector]:
 
 @lru_cache(maxsize=None)
 def _spanning_states(sys: SystemDescriptor) -> tuple[StateVector, ...]:
-    if sys.backend == CLASSICAL:
-        return tuple(state_from_coords(sys, row) for row in np.eye(sys.total_dim))
-    vecs = _pure_family(sys.total_dim, complex_pairs=sys.backend == QUANTUM)
-    return tuple(state_from_vector(sys, v) for v in vecs)
+    return tuple(state_from_vector(sys, v) for v in _pure_family(sys))
 
 
 def spanning_effects(sys: SystemDescriptor) -> list[EffectVector]:
@@ -98,10 +100,7 @@ def spanning_effects(sys: SystemDescriptor) -> list[EffectVector]:
 
 @lru_cache(maxsize=None)
 def _spanning_effects(sys: SystemDescriptor) -> tuple[EffectVector, ...]:
-    if sys.backend == CLASSICAL:
-        return tuple(effect_from_coords(sys, row) for row in np.eye(sys.total_dim))
-    vecs = _pure_family(sys.total_dim, complex_pairs=sys.backend == QUANTUM)
-    return tuple(effect_from_matrix(sys, np.outer(v, v.conj())) for v in vecs)
+    return tuple(effect_from_matrix(sys, np.outer(v, v.conj())) for v in _pure_family(sys))
 
 
 @lru_cache(maxsize=None)
@@ -111,10 +110,7 @@ def complete_state(sys: SystemDescriptor) -> StateVector:
     Any full-rank state contains every deterministic state; this one is the
     canonical interior point.
     """
-    n = sys.total_dim
-    if sys.backend == CLASSICAL:
-        return state_from_coords(sys, np.full(n, 1.0 / n))
-    return state_from_matrix(sys, np.eye(n) / n)
+    return state_from_matrix(sys, np.eye(sys.total_dim) / sys.total_dim)
 
 
 @lru_cache(maxsize=None)
@@ -209,29 +205,20 @@ class ProcessSpaceBasis:
 def process_space_basis(a: SystemDescriptor, b: SystemDescriptor) -> ProcessSpaceBasis:
     """Basis of the operational span of processes A -> B.
 
-    Classical: matrix units (dimension d_A d_B).  Quantum family: matrix
-    units E_x, then (E_x + E_y)/sqrt2 and, complex backend only,
-    (E_x + i E_y)/sqrt2 over x < y; an element holds the coordinates of the
-    rank-one Choi matrix vec(K) vec(K)^dag.  In the Gell-Mann order they are
-    lower triangular with diagonal entries 1 and 1/sqrt2, so full rank is
-    checked structurally in O(N^2) rather than by an SVD.
+    The operators are the pure family of B (x) A reshaped: matrix units E_x,
+    then (E_x + E_y)/sqrt2, then (E_x + i E_y)/sqrt2 over x < y, cut at the
+    span dimension, so the classical backend keeps the matrix units alone
+    (dimension d_A d_B).  An element holds the coordinates of the rank-one
+    Choi matrix vec(K) vec(K)^dag.  In the Gell-Mann order they are lower
+    triangular with diagonal entries 1 and 1/sqrt2, so full rank is checked
+    structurally in O(N^2) rather than by an SVD.
     """
     if a.backend != b.backend:
         raise ValueError("process space needs matching backends")
-    din, dout = a.total_dim, b.total_dim
-    units = np.eye(din * dout).reshape(-1, dout, din)
-    if a.backend == CLASSICAL:
-        ops = units
-        elements = units.reshape(len(units), -1)
-    else:
-        xs, ys = np.triu_indices(len(units), 1)
-        ops = [units, (units[xs] + units[ys]) / np.sqrt(2.0)]
-        if a.backend == QUANTUM:
-            ops.append((units[xs] + 1j * units[ys]) / np.sqrt(2.0))
-        ops = np.concatenate(ops)
-        comp = tensor_systems(b, a)
-        vecs = ops.reshape(len(ops), -1)
-        elements = np.stack([matrix_to_coords(comp, np.outer(v, v.conj())) for v in vecs])
+    comp = tensor_systems(b, a)
+    vecs = _pure_family(comp)
+    ops = np.array(vecs).reshape(-1, b.total_dim, a.total_dim)
+    elements = np.stack([matrix_to_coords(comp, np.outer(v, v.conj())) for v in vecs])
     ops.flags.writeable = elements.flags.writeable = False
     square = elements.shape[0] == elements.shape[1]
     if not square or np.triu(elements, 1).any() or not elements.diagonal().all():

@@ -2,19 +2,22 @@
 
 Three concrete theories share this layer: finite classical probability
 (``classical``), complex quantum theory (``quantum``), and real-vector-space
-quantum theory (``real``).  States and effects are stored as real coordinate
-vectors over a fixed orthonormal matrix basis per system (Hermitian for the
-complex backend, real symmetric for the real one, the standard simplex basis
-for the classical one), so the pairing of an effect with a state is a plain
-dot product and the coordinate 2-norm equals the Hilbert-Schmidt norm.
+quantum theory (``real``).  Every state and effect is a matrix: Hermitian on
+the complex backend, real symmetric on the real one, and real diagonal on the
+classical one, whose states are the diagonal density matrices (Chiribella,
+D'Ariano & Perinotti, PRA 81, 062348 (2010)).  States and effects are stored
+as real coordinate vectors over a fixed orthonormal matrix basis per system,
+so the pairing of an effect with a state is a plain dot product and the
+coordinate 2-norm equals the Hilbert-Schmidt norm.
 
 The matrix basis is the generalized Gell-Mann one with matrix units on the
 diagonal (Bertlmann & Krammer, J. Phys. A 41, 235303 (2008)): E_ii, then
 (E_ij + E_ji)/sqrt2 and, complex backend only, (-i E_ij + i E_ji)/sqrt2, over
-i < j in row-major order.  It is never built: a Hermitian H has coordinates
-[diag H, sqrt2 Re H_ij, -sqrt2 Im H_ij], read off by index.  A matrix M is
-representable when max|M - H| <= tol for its Hermitian part H (for the real
-backend, the real part of it).
+i < j in row-major order.  The classical coordinates are its diagonal block
+alone.  It is never built: a Hermitian H has coordinates [diag H, sqrt2 Re
+H_ij, -sqrt2 Im H_ij], read off by index.  A matrix M is representable when
+max|M - H| <= tol for its projection H: the Hermitian part, its real part on
+the real backend, and the real diagonal on the classical one.
 
 Processes carry an explicit representation (a stack of Kraus operators or
 a substochastic matrix) that lifts canonically to composites via
@@ -25,10 +28,12 @@ composite systems.
 
 Scalars are plain nonnegative floats; a scalar is cancellative exactly when
 it is strictly positive.  All values are immutable after construction and
-every operation is a pure function.  A validated quantum-family state or
-effect keeps, read-only, the matrix rebuilt from its coordinates.  The
+every operation is a pure function.  A validated state or effect, on every
+backend, keeps read-only the matrix rebuilt from its coordinates.  The
 public constructors test positivity on it; images of completely positive
-maps are positive by construction and skip that test (``_state_rep``).
+maps are positive by construction and skip that test (``_state_rep``).  Only
+classical processes keep their own form, a substochastic matrix, which acts
+on coordinate columns (``_act``) until they become Kraus stacks.
 """
 
 from __future__ import annotations
@@ -143,22 +148,15 @@ def subsystem(sys: SystemDescriptor, indices: Sequence[int]) -> SystemDescriptor
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of n x n, row-major."""
-    rows, cols = np.triu_indices(n, 1)
+def _pairs(backend: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the off-diagonal pairs i < j in row-major order: none on classical."""
+    rows, cols = np.triu_indices(n if backend != CLASSICAL else 0, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 
-def _matrix_dim(sys: SystemDescriptor) -> int:
-    if sys.backend == CLASSICAL:
-        raise ValueError("classical systems have no matrix basis")
-    return sys.total_dim
-
-
 def coords_to_matrix(sys: SystemDescriptor, coords: np.ndarray) -> np.ndarray:
     """Reconstruct the density-operator-style matrix from basis coordinates."""
-    n = _matrix_dim(sys)
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (sys.state_dim,):
         raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
@@ -168,7 +166,7 @@ def coords_to_matrix(sys: SystemDescriptor, coords: np.ndarray) -> np.ndarray:
 def _matrices(sys: SystemDescriptor, coords: np.ndarray) -> np.ndarray:
     """``coords_to_matrix`` on a stack (..., state_dim) of coordinate rows, giving (..., n, n)."""
     n = sys.total_dim
-    rows, cols = _upper(n)
+    rows, cols = _pairs(sys.backend, n)
     m = len(rows)
     upper = coords[..., n : n + m]
     if sys.backend == QUANTUM:
@@ -186,7 +184,7 @@ def matrix_to_coords(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = DEF
 
     The one-matrix case of ``_projection``, with the shape checked.
     """
-    n = _matrix_dim(sys)
+    n = sys.total_dim
     mat = np.asarray(mat)
     if mat.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix for {sys}, got shape {mat.shape}")
@@ -200,19 +198,22 @@ def _projection(sys: SystemDescriptor, mat: np.ndarray, tol: float) -> np.ndarra
     summed from M_ij and M_ji term by term as a dense projection rounds it.
     For the real backend the residue max|M - H| rejects imaginary or
     antisymmetric parts above ``tol``; that check is what catches processes
-    that would leak out of the real-symmetric state space.  A stack gives
-    each matrix's coordinates bit for bit; its largest residue decides.
+    that would leak out of the real-symmetric state space; for the classical
+    backend H is the real diagonal, so off-diagonal parts are rejected too.
+    A stack gives each matrix's coordinates bit for bit; its largest residue
+    decides, and a NaN residue turns every coordinate NaN for the finite checks.
     """
-    n = mat.shape[-1]
     herm = (mat + mat.conj().swapaxes(-1, -2)) / 2
     if sys.backend != QUANTUM:
         herm = herm.real
+    if sys.backend == CLASSICAL:
+        herm = _matrices(sys, herm.diagonal(axis1=-2, axis2=-1))
     residue = np.abs(mat - herm).max()
     if residue > tol:
         raise ValueError(
             f"matrix is not representable on {sys}: residue {residue:.3e} exceeds {tol:.1e}"
         )
-    rows, cols = _upper(n)
+    rows, cols = _pairs(sys.backend, mat.shape[-1])
     re = mat.real
     blocks = [
         re.diagonal(axis1=-2, axis2=-1),
@@ -221,7 +222,7 @@ def _projection(sys: SystemDescriptor, mat: np.ndarray, tol: float) -> np.ndarra
     if sys.backend == QUANTUM:
         im = mat.imag
         blocks.append(im[..., cols, rows] * _INV_SQRT2 - im[..., rows, cols] * _INV_SQRT2)
-    return np.concatenate(blocks, axis=-1) + 0.0  # -0.0 -> 0.0, as a sum over the whole basis gives
+    return np.concatenate(blocks, axis=-1) + 0.0 * residue  # -0.0 -> 0.0, as a sum over the whole basis gives
 
 
 def _lock(arr: np.ndarray, dtype: type = float) -> np.ndarray:
@@ -245,7 +246,7 @@ class StateVector:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Density-matrix form (quantum family only), held since construction when it built one."""
+        """Density-matrix form, held since construction when it built one."""
         return coords_to_matrix(self.system, self.coords) if self._matrix is None else self._matrix
 
     @property
@@ -272,11 +273,10 @@ class EffectVector:
         return f"EffectVector({self.system}, kind={self.kind})"
 
 
-def _holding(vec, mat: np.ndarray | None):
+def _holding(vec, mat: np.ndarray):
     """``vec`` holding ``mat`` read-only as its ``.matrix``; a ``replace`` copy drops it (``init=False``)."""
-    if mat is not None:
-        mat.flags.writeable = False
-        object.__setattr__(vec, "_matrix", mat)
+    mat.flags.writeable = False
+    object.__setattr__(vec, "_matrix", mat)
     return vec
 
 
@@ -300,10 +300,6 @@ def state_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float =
     if coords.shape != (sys.state_dim,):
         raise ValueError(f"expected {sys.state_dim} coordinates for {sys}, got {coords.shape}")
     _require_finite(coords, "state coordinates")
-    if sys.backend == CLASSICAL:
-        if coords.min() < -tol:
-            raise ValueError(f"classical state has negative entry {coords.min():.3e}")
-        return _weighed(sys, coords, coords.sum(), None, tol)
     mat = coords_to_matrix(sys, coords)
     low = _min_eig(mat)
     if low < -tol:
@@ -326,7 +322,7 @@ def _state_rep(sys: SystemDescriptor, mat: np.ndarray, tol: float) -> StateVecto
 
 
 def _weighed(
-    sys: SystemDescriptor, coords: np.ndarray, total: float, mat: np.ndarray | None, tol: float
+    sys: SystemDescriptor, coords: np.ndarray, total: float, mat: np.ndarray, tol: float
 ) -> StateVector:
     """The weight check and kind flag every state constructor ends with."""
     if total > 1.0 + tol:
@@ -350,19 +346,12 @@ def effect_from_coords(sys: SystemDescriptor, coords: np.ndarray, *, tol: float 
     if coords.shape != (sys.effect_dim,):
         raise ValueError(f"expected {sys.effect_dim} coordinates for {sys}, got {coords.shape}")
     _require_finite(coords, "effect coordinates")
-    mat = None
-    if sys.backend == CLASSICAL:
-        if coords.min() < -tol or coords.max() > 1.0 + tol:
-            raise ValueError("classical effect entries must lie in [0, 1]")
-        det = _near(coords, 1.0, tol)
-    else:
-        mat = coords_to_matrix(sys, coords)
-        if _min_eig(mat) < -tol:
-            raise ValueError("effect matrix is not positive semidefinite")
-        if _min_eig(np.eye(sys.total_dim) - mat) < -tol:
-            raise ValueError("effect matrix exceeds the identity")
-        det = _near(mat, np.eye(sys.total_dim), tol)
-    kind = DETERMINISTIC if det else GENERAL
+    mat = coords_to_matrix(sys, coords)
+    if _min_eig(mat) < -tol:
+        raise ValueError("effect matrix is not positive semidefinite")
+    if _min_eig(np.eye(sys.total_dim) - mat) < -tol:
+        raise ValueError("effect matrix exceeds the identity")
+    kind = DETERMINISTIC if _near(mat, np.eye(sys.total_dim), tol) else GENERAL
     return _holding(EffectVector(sys, _lock(coords), kind), mat)
 
 
@@ -373,12 +362,8 @@ def effect_from_matrix(sys: SystemDescriptor, mat: np.ndarray, *, tol: float = D
 @lru_cache(maxsize=None)
 def deterministic_effect(sys: SystemDescriptor) -> EffectVector:
     """The unique deterministic effect (causal backends have exactly one), built once per system."""
-    if sys.backend == CLASSICAL:
-        coords, mat = np.ones(sys.state_dim), None
-    else:
-        coords = matrix_to_coords(sys, np.eye(sys.total_dim))
-        mat = coords_to_matrix(sys, coords)
-    return _holding(EffectVector(sys, _lock(coords), DETERMINISTIC), mat)
+    coords = matrix_to_coords(sys, np.eye(sys.total_dim))
+    return _holding(EffectVector(sys, _lock(coords), DETERMINISTIC), coords_to_matrix(sys, coords))
 
 
 def pair(e: EffectVector, s: StateVector) -> float:
@@ -389,17 +374,11 @@ def pair(e: EffectVector, s: StateVector) -> float:
 
 
 def tensor_states(s: StateVector, t: StateVector, *, tol: float = DEFAULT_TOL) -> StateVector:
-    sys = tensor_systems(s.system, t.system)
-    if s.system.backend == CLASSICAL:
-        return state_from_coords(sys, np.kron(s.coords, t.coords), tol=tol)
-    return _state_rep(sys, np.kron(s.matrix, t.matrix), tol)
+    return _state_rep(tensor_systems(s.system, t.system), np.kron(s.matrix, t.matrix), tol)
 
 
 def tensor_effects(e: EffectVector, f: EffectVector, *, tol: float = DEFAULT_TOL) -> EffectVector:
-    sys = tensor_systems(e.system, f.system)
-    if e.system.backend == CLASSICAL:
-        return effect_from_coords(sys, np.kron(e.coords, f.coords), tol=tol)
-    return effect_from_matrix(sys, np.kron(e.matrix, f.matrix), tol=tol)
+    return effect_from_matrix(tensor_systems(e.system, f.system), np.kron(e.matrix, f.matrix), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +637,9 @@ def apply_to_factors(
     """Apply ``p`` to the contiguous factor block of ``s`` beginning at ``start``.
 
     The one-state case of ``_act`` (``apply`` is its whole-system case).  A
-    quantum-family image is a state by complete positivity, so ``_state_rep``
-    builds it without an eigenvalue test.
+    Kraus image is a state by complete positivity, so ``_state_rep`` builds
+    it without an eigenvalue test; a stochastic image is built from its
+    coordinates and tested.
     """
     sys = s.system
     k = p.input.n_factors
@@ -681,7 +661,9 @@ def _act(p: ProcessRep, arr: np.ndarray, left: int) -> np.ndarray:
     (m, n, 1); ``left`` is the dimension of the factors before the block.
     All operators act at once by ``_on_rows``, never as I (x) K (x) I, and
     the k terms K rho K^dag are summed.  A state's image is bit for bit the
-    one a stack of one gives.
+    one a stack of one gives.  Classical columns remain while a classical
+    process is a substochastic matrix, which acts on the diagonal of a state,
+    not on its matrix; Kraus stacks would act on the matrix.
     """
     if p.stoch is not None:
         return _on_rows(p.stoch, arr, left)
@@ -722,14 +704,15 @@ def _checked_images(sys: SystemDescriptor, arr: np.ndarray) -> np.ndarray:
     """Coordinate rows (m, state_dim) of a stack of ``_act`` images on ``sys``.
 
     The checks ``apply_to_factors`` runs on each image, with the same
-    messages, on the whole stack at the default tolerance: residue (quantum
-    family) or sign (classical), finite, weight.
+    messages, on the whole stack at the default tolerance: residue (Kraus
+    images) or sign (classical columns, whose least entry is the least
+    eigenvalue of their diagonal matrix), finite, weight.
     """
     if sys.backend == CLASSICAL:
         coords = arr[..., 0]
         _require_finite(coords, "state coordinates")
         if coords.min() < -DEFAULT_TOL:
-            raise ValueError(f"classical state has negative entry {coords.min():.3e}")
+            raise ValueError(f"state matrix has negative eigenvalue {coords.min():.3e}")
     else:
         coords = _projection(sys, arr, DEFAULT_TOL)
         _require_finite(coords, "state coordinates")
@@ -744,14 +727,10 @@ def _checked_images(sys: SystemDescriptor, arr: np.ndarray) -> np.ndarray:
 # Marginals and contractions
 # ---------------------------------------------------------------------------
 
-def _permuted(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """``arr`` with its factors in the order ``perm``: one index per factor per axis.
-
-    Coordinates of a classical state have one axis, a matrix has two.
-    """
-    k = len(dims)
-    axes = [axis * k + i for axis in range(arr.ndim) for i in perm]
-    return arr.reshape(*dims * arr.ndim).transpose(axes).reshape(arr.shape)
+def _permuted(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """``mat`` with its factors in the order ``perm``, on rows and columns alike."""
+    axes = list(perm) + [len(dims) + i for i in perm]
+    return mat.reshape(*dims, *dims).transpose(axes).reshape(mat.shape)
 
 
 def _reduce(
@@ -761,16 +740,12 @@ def _reduce(
 
     The one factor reduction: permute once to (keep, on), then contract
     Tr_on[(I (x) effect) mat] once.  That contraction is completely
-    positive, so ``_state_rep`` builds a quantum-family result.
+    positive, so ``_state_rep`` builds the result.
     """
     sys = s.system
     out_sys = subsystem(sys, keep)
-    perm = list(keep) + list(on)
     dk = out_sys.total_dim
-    if sys.backend == CLASSICAL:
-        out = _permuted(s.coords, sys.dims, perm).reshape(dk, -1) @ effect.coords
-        return state_from_coords(out_sys, out, tol=tol)
-    m4 = _permuted(s.matrix, sys.dims, perm).reshape(dk, effect.system.total_dim, dk, -1)
+    m4 = _permuted(s.matrix, sys.dims, list(keep) + list(on)).reshape(dk, effect.system.total_dim, dk, -1)
     return _state_rep(out_sys, np.einsum("xy,aybx->ab", effect.matrix, m4), tol)
 
 

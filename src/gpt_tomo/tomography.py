@@ -20,6 +20,11 @@ the process-space dimension.  The lifting map is I_B (x) S_phi for a
 d_ref^2 x d_in^2 reshuffle S_phi of phi, so every rank is decided on S_phi
 per sector against one scale; ``lifting_matrix`` is the definition, kept as
 the tests' differential oracle.
+
+Classical states are diagonal matrices, so completeness and the lifting
+matrix take one route on every backend; ``contains``, the face, the canonical
+extension and the lifting sectors keep a classical branch where the theory or
+the cost differs.
 """
 
 from __future__ import annotations
@@ -136,8 +141,6 @@ def is_complete(rho: StateVector, *, tol: float = DEFAULT_TOL) -> bool:
     """Full rank (quantum) / full support (classical): contains every state."""
     if rho.kind != "deterministic":
         raise ValueError("completeness is defined for deterministic states")
-    if rho.system.backend == CLASSICAL:
-        return bool(rho.coords.min() > tol)
     return bool(np.linalg.eigvalsh(rho.matrix).min() > tol)
 
 
@@ -222,17 +225,15 @@ def lifting_matrix(
     """Column n is the coordinate vector of (K_n (x) I) phi (K_n (x) I)^dag.
 
     A process with basis coordinates c acts on phi as ``M c``; the kernel of
-    M is the set of process-span elements invisible on phi.  Quantum family:
-    phi = H H^dag is factored once and column n is W W^dag, W = (K_n (x) I) H.
+    M is the set of process-span elements invisible on phi.  phi = H H^dag is
+    factored once and column n is W W^dag, W = (K_n (x) I) H; on the
+    classical backend K_n is a stochastic matrix unit.
     """
     k = a.n_factors
     if phi.system.backend != a.backend or phi.system.dims[:k] != a.dims:
         raise ValueError(f"state on {phi.system} does not start with input {a}")
     if basis.input != a:
         raise ValueError(f"process basis starts at {basis.input}, not at input {a}")
-    if a.backend == CLASSICAL:
-        joint = phi.coords.reshape(a.total_dim, -1)
-        return np.einsum("noi,ir->orn", basis.operators, joint).reshape(-1, basis.dim)
     out = SystemDescriptor(a.backend, basis.output.dims + phi.system.dims[k:])
     vals, vecs = np.linalg.eigh(phi.matrix)
     h = (vecs[:, vals > 0] * np.sqrt(vals[vals > 0])).reshape(a.total_dim, -1)

@@ -24,6 +24,7 @@ which are one rule over four families of test states.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod, sqrt
 
 import numpy as np
@@ -38,6 +39,7 @@ from .core import (
     ProcessRep,
     StateVector,
     SystemDescriptor,
+    Test,
     apply_to_factors,
     contract,
     deterministic_effect,
@@ -443,6 +445,13 @@ def preparationally_faithful_witness(
     return p, witness
 
 
+@lru_cache(maxsize=None)
+def _spanning_source(a: SystemDescriptor) -> Test:
+    """The uniform randomization of the preparations of ``a``'s spanning states, built once per system."""
+    src = bk.spanning_states(a)
+    return randomize([preparation_test([s]) for s in src], [1.0 / len(src)] * len(src))
+
+
 def is_doubly_preparationally_faithful(
     a: SystemDescriptor,
     b: SystemDescriptor,
@@ -490,12 +499,8 @@ def is_doubly_preparationally_faithful(
         from .rebit import rebit_processes
 
         p1, p2 = rebit_processes()
-        src = bk.spanning_states(a)
-        source = randomize(
-            [preparation_test([s]) for s in src], [1.0 / len(src)] * len(src)
-        )
         details["standard_tomography_fails"] = bool(
-            equal_on_source(p1, p2, source, tol) and not equal_processes(p1, p2, tol)
+            equal_on_source(p1, p2, _spanning_source(a), tol) and not equal_processes(p1, p2, tol)
         )
     return CheckReport(
         check="doubly-preparationally-faithful",

@@ -15,7 +15,8 @@ import pytest
 from gpt_tomo import backends as bk
 from gpt_tomo import core as c
 from gpt_tomo import rebit as rb
-from gpt_tomo.core import BACKENDS, CLASSICAL, system
+from gpt_tomo import witnesses as wt
+from gpt_tomo.core import BACKENDS, CLASSICAL, REAL, system
 
 from conftest import count_calls
 
@@ -37,11 +38,10 @@ def _built(backend):
         "permute_factors": lambda: c.permute_factors(rho, [1, 0]),
         "marginal": lambda: c.marginal(rho, 1),
     }
-    if backend != CLASSICAL:
-        out["state_from_matrix"] = lambda: c.state_from_matrix(b, bk.random_state(b, 9).matrix.copy())
-        vec = np.array([0.6, 0.8j if backend == "quantum" else 0.8])
-        out["state_from_vector"] = lambda: c.state_from_vector(a, vec)
-        out["effect_from_matrix"] = lambda: c.effect_from_matrix(b, e.matrix.copy())
+    out["state_from_matrix"] = lambda: c.state_from_matrix(b, bk.random_state(b, 9).matrix.copy())
+    vec = {CLASSICAL: [0.0, 1.0], "quantum": [0.6, 0.8j], "real": [0.6, 0.8]}[backend]  # classical: a point mass
+    out["state_from_vector"] = lambda: c.state_from_vector(a, np.array(vec))
+    out["effect_from_matrix"] = lambda: c.effect_from_matrix(b, e.matrix.copy())
     return out
 
 
@@ -53,12 +53,6 @@ def test_held_matrix_is_the_coordinate_matrix(backend, name):
     s = _built(backend)[name]()
     other = (c.deterministic_effect if isinstance(s, c.EffectVector) else bk.complete_state)(s.system)
     moved = dataclasses.replace(s, coords=other.coords)
-    if backend == CLASSICAL:  # no matrix basis: held nothing, and .matrix raises as before
-        assert s._matrix is None and moved._matrix is None
-        for vec in (s, moved):
-            with pytest.raises(ValueError, match="no matrix basis"):
-                vec.matrix
-        return
     assert np.array_equal(s.matrix, c.coords_to_matrix(s.system, s.coords))
     assert s.matrix.flags.writeable is False
     assert s.matrix is s.matrix
@@ -109,6 +103,20 @@ def test_rebit_constants_are_built_once(monkeypatch):
     rb.counterexample_report(seed=1, n_random=1)
     assert calls == []
     assert rb._pauli_products().flags.writeable is False
+
+
+def test_rebit_source_is_built_once(monkeypatch):
+    """The standard-tomography source of the rebit report depends on the system alone."""
+    rebit = system(REAL, 2)
+    first = wt.is_doubly_preparationally_faithful(rebit, rebit, seed=0, samples=1)
+    calls = []
+    for name in ("preparation_test", "randomize"):
+        original = getattr(wt, name)
+        monkeypatch.setattr(wt, name, lambda *a, _o=original, _n=name, **kw: calls.append(_n) or _o(*a, **kw))
+    second = wt.is_doubly_preparationally_faithful(rebit, rebit, seed=0, samples=1)
+    assert calls == []
+    assert second.to_dict() == first.to_dict() and first.details["standard_tomography_fails"] is True
+    assert wt._spanning_source(rebit) is wt._spanning_source(rebit)
 
 
 def test_cached_constants_match_a_fresh_build():

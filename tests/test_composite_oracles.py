@@ -3,10 +3,13 @@
 ``composite_oracles`` holds the separate permute, contract and connect
 routines that ``core._reduce`` and ``witnesses._unitary_connecting``
 replaced.  Contract, permute and a marginal kept in ascending order take
-the same floating-point steps as the twins, so they must agree bit for bit;
-a marginal kept out of order permutes before contracting instead of after,
-and may move by round-off.  The connection is unique only where W1 is
-square and of full rank; elsewhere it is held to its defining identities.
+the same floating-point steps as the matrix twins, on every backend, so they
+must agree bit for bit; a marginal kept out of order permutes before
+contracting instead of after, and may move by round-off.  A classical state
+is a diagonal matrix: its permutation must also match the vector twin bit
+for bit, and its contraction the vector twin to round-off.  The connection
+is unique only where W1 is square and of full rank; elsewhere it is held to
+its defining identities.
 """
 
 from itertools import combinations, permutations
@@ -31,25 +34,15 @@ DIMS = (2, 3, 2)
 SEEDS = range(5)
 
 
-def _state_from(sys, arr):
-    if sys.backend == CLASSICAL:
-        return c.state_from_coords(sys, arr)
-    return c.state_from_matrix(sys, arr)
-
-
 def _oracle_contract(s, effect, on):
     sys = s.system
     out_sys = c.subsystem(sys, [i for i in range(sys.n_factors) if i not in on])
-    if sys.backend == CLASSICAL:
-        return _state_from(out_sys, contract_vector(s.coords, sys.dims, effect.coords, on))
-    return _state_from(out_sys, contract_matrix(s.matrix, sys.dims, effect.matrix, on))
+    return c.state_from_matrix(out_sys, contract_matrix(s.matrix, sys.dims, effect.matrix, on))
 
 
 def _oracle_permute(s, perm):
     sys = s.system
-    if sys.backend == CLASSICAL:
-        return _state_from(c.subsystem(sys, perm), permute_vector(s.coords, sys.dims, perm))
-    return _state_from(c.subsystem(sys, perm), permute_matrix(s.matrix, sys.dims, perm))
+    return c.state_from_matrix(c.subsystem(sys, perm), permute_matrix(s.matrix, sys.dims, perm))
 
 
 def _oracle_marginal(s, keep):
@@ -73,7 +66,10 @@ def test_contract_is_bit_identical_to_the_twin(backend, seed):
     s = bk.random_state(sys, rng)
     for on in _selections(len(DIMS)):
         effect = bk.random_povm(c.subsystem(sys, on), 2, rng)[0]
-        assert np.array_equal(c.contract(s, effect, on).coords, _oracle_contract(s, effect, on).coords), on
+        got = c.contract(s, effect, on).coords
+        assert np.array_equal(got, _oracle_contract(s, effect, on).coords), on
+        if backend == CLASSICAL:
+            assert np.abs(got - contract_vector(s.coords, DIMS, effect.coords, on)).max() <= 1e-16, on
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -81,7 +77,10 @@ def test_contract_is_bit_identical_to_the_twin(backend, seed):
 def test_permute_is_bit_identical_to_the_twin(backend, seed):
     s = bk.random_state(system(backend, *DIMS), seed)
     for perm in permutations(range(len(DIMS))):
-        assert np.array_equal(c.permute_factors(s, perm).coords, _oracle_permute(s, list(perm)).coords), perm
+        got = c.permute_factors(s, perm).coords
+        assert np.array_equal(got, _oracle_permute(s, list(perm)).coords), perm
+        if backend == CLASSICAL:
+            assert np.array_equal(got, permute_vector(s.coords, DIMS, perm)), perm
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

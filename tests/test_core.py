@@ -120,11 +120,17 @@ def test_coordinates_of_wrong_length_rejected(backend):
         c.coords_to_matrix(system(backend, 2), np.zeros(5))
 
 
-def test_classical_system_has_no_matrix_coordinates(bit):
-    with pytest.raises(ValueError, match="no matrix basis"):
-        c.matrix_to_coords(bit, np.eye(2))
-    with pytest.raises(ValueError, match="no matrix basis"):
-        c.coords_to_matrix(bit, np.ones(2))
+def test_classical_coordinates_are_the_diagonal_block():
+    for n in ORACLE_DIMS:
+        sys = system(CLASSICAL, n)
+        x = np.random.default_rng(n).normal(size=n)
+        back = c.coords_to_matrix(sys, x)
+        assert back.dtype == np.float64 and np.array_equal(back, np.diag(x)), n
+        assert np.array_equal(c.matrix_to_coords(sys, back), x), n
+        w = np.random.default_rng(n + 1).random(n)
+        s = c.state_from_coords(sys, w / w.sum())
+        assert np.array_equal(s.matrix, np.diag(s.coords)), n
+        assert s.matrix is s.matrix and s.matrix.flags.writeable is False, n
 
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -133,6 +139,8 @@ UNREPRESENTABLE = [
     (REAL, E01 - E01.T),  # real, but antisymmetric
     (QUANTUM, E01 - E01.T),  # anti-Hermitian
     (QUANTUM, 1j * (E01 + E01.T)),  # anti-Hermitian
+    (CLASSICAL, E01 + E01.T),  # real symmetric, but off the diagonal
+    (CLASSICAL, 1j * np.eye(2)),  # diagonal, but imaginary
 ]
 
 
@@ -141,12 +149,13 @@ UNREPRESENTABLE = [
 def test_unrepresentable_part_checked_against_tol(backend, part, tol):
     """The residue is max|M - H|, here exactly the size of the added part."""
     sys = system(backend, 2)
-    base = np.array([[0.6, 0.1], [0.1, 0.4]])
+    base = np.diag([0.6, 0.4]) if backend == CLASSICAL else np.array([[0.6, 0.1], [0.1, 0.4]])
     expected = c.matrix_to_coords(sys, base)
     below = c.matrix_to_coords(sys, base + 0.999 * tol * part, tol=tol)
     np.testing.assert_allclose(below, expected, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError, match="not representable"):
-        c.matrix_to_coords(sys, base + 1.001 * tol * part, tol=tol)
+    for convert in (c.matrix_to_coords, c.state_from_matrix, c.effect_from_matrix):
+        with pytest.raises(ValueError, match="not representable"):
+            convert(sys, base + 1.001 * tol * part, tol=tol)
 
 
 def test_conversion_allocates_no_dense_basis():
@@ -220,7 +229,7 @@ def test_pair_is_bilinear(backend, seed):
 def test_state_cone_membership_enforced(qubit, bit):
     with pytest.raises(ValueError, match="negative eigenvalue"):
         c.state_from_matrix(qubit, np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError, match="negative entry"):
+    with pytest.raises(ValueError, match="negative eigenvalue"):
         c.state_from_coords(bit, [-0.1, 1.1])
 
 
@@ -233,6 +242,9 @@ NON_FINITE = [
     pytest.param("state", lambda: c.state_from_coords(R2, [INF, 0.5, 0.0]), id="real-state-inf"),
     pytest.param("effect", lambda: c.effect_from_coords(C2, [NAN, 0.5]), id="classical-effect-nan"),
     pytest.param("effect", lambda: c.effect_from_coords(Q2, [0.5, NAN, 0.0, 0.0]), id="quantum-effect-nan"),
+    # the projection drops these parts, so the NaN must reach the coordinates through the residue
+    pytest.param("state", lambda: c.state_from_matrix(C2, [[0.5, NAN], [0.0, 0.5]]), id="classical-off-diag-nan"),
+    pytest.param("effect", lambda: c.effect_from_matrix(R2, np.diag([0.5, complex(0.5, NAN)])), id="real-imag-nan"),
     pytest.param("stochastic", lambda: c.stochastic_process(C2, C2, np.full((2, 2), NAN)), id="stochastic-all-nan"),
     pytest.param("Kraus", lambda: c.kraus_process(Q1, Q2, [[[NAN], [0.0]]]), id="kraus-nan"),
     pytest.param("Kraus", lambda: c.kraus_process(Q2, Q2, [np.diag([1e999, 1.0])]), id="kraus-inf"),

@@ -612,6 +612,20 @@ def test_find_faithful_state_is_the_purified_complete_state(backend, d):
     assert tm.lifting_rank(phi, a, a) == tm.lifting_rank(old, a, a) == c.tensor_systems(a, a).state_dim
 
 
+def test_faithful_check_fails_on_a_separable_state(monkeypatch, rebit):
+    """Negative control: a separable two-rebit state falls one short of the process span."""
+    rng = np.random.default_rng(0)
+    terms = [
+        c.tensor_states(bk.random_pure_state(rebit, rng), bk.random_pure_state(rebit, rng)) for _ in range(16)
+    ]
+    weights = rng.random(16)
+    separable = c.mixture(terms, weights / weights.sum())
+    monkeypatch.setattr(tm, "find_faithful_state", lambda a: separable)
+    rep = tm.faithful_state_check(REAL, 2, 2)
+    assert rep.details["process_span_dim"] == 10 and rep.details["lifting_rank"] == 9
+    assert not rep.passed
+
+
 def test_faithful_state_extends_a_complete_state(qubit, rebit, bit):
     for sys in (qubit, rebit, bit):
         phi = tm.find_faithful_state(sys)
@@ -653,6 +667,16 @@ def test_local_tomography_builds_no_composite_effect(monkeypatch, qubit, qutrit,
         tm.is_locally_tomographic(a, b)
         built = {args[0] for name, args in calls if name == "effect_from_coords"}
         assert built == {a, b} and "tensor_effects" not in {name for name, _ in calls}
+
+
+def test_local_tomography_fails_when_the_product_effects_miss_a_direction(monkeypatch, qubit):
+    """Negative control: the dimension law holds, but each side's family lacks one spanning effect."""
+    spanning = bk.spanning_effects
+    monkeypatch.setattr(bk, "spanning_effects", lambda sys_: spanning(sys_)[:-1])
+    rep = tm.is_locally_tomographic(qubit, qubit)
+    assert rep.details["dim_composite"] == rep.details["dim_product"] == 16
+    assert rep.details["product_effect_span_rank"] == 9
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_full_validation_of_images_changes_nothing(monkeypatch):
         monkeypatch, lambda sys_, mat, tol: c.state_from_matrix(sys_, mat, tol=tol)
     )
     assert len(fast_made) == len(full_made) > 250
-    assert {s.system.backend for s in fast_made} == {QUANTUM, REAL}
+    assert {s.system.backend for s in fast_made} == {CLASSICAL, QUANTUM, REAL}
     assert all(s._matrix is not None for s in fast_made)
     assert [_canon(s) for s in fast_made] == [_canon(s) for s in full_made]
     assert len(fast_results) == len(full_results) > 100
@@ -264,7 +264,7 @@ def test_stacked_images_keep_the_weight_and_finite_checks(rebit):
     with pytest.raises(ValueError, match="state coordinates must be finite"):
         c._checked_images(rebit, np.full((2, 2, 2), np.nan))
     bit = system(CLASSICAL, 2)
-    with pytest.raises(ValueError, match="classical state has negative entry"):
+    with pytest.raises(ValueError, match="state matrix has negative eigenvalue"):
         c._checked_images(bit, np.array([[[0.5], [0.5]], [[1.1], [-0.1]]]))
 
 

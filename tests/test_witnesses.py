@@ -423,6 +423,23 @@ def test_purifications_of_rank_deficient_states(backend, d):
         assert np.abs(moved.coords - psi2.coords).max() < 1e-6
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_purification_check_fails_when_the_marginal_is_off(monkeypatch, backend):
+    """Negative control: ``purify`` purifies rho moved by 1e-6, and only the marginal bound sees it."""
+    purify = bk.purify
+
+    def purify_moved(rho, *, tol=c.DEFAULT_TOL):
+        return purify(c.state_from_matrix(rho.system, rho.matrix + 1e-6 * np.diag([1.0, -1.0])), tol=tol)
+
+    monkeypatch.setattr(bk, "purify", purify_moved)
+    rep = wt.purification_check(backend, 2)
+    details = rep.details
+    assert details["marginal_max_deviation"] == pytest.approx(1e-6, rel=1e-6)
+    assert details["purification_rank"] == 1 and details["connection_reversible"]
+    assert details["connection_max_deviation"] <= 1e-9
+    assert not rep.passed
+
+
 # ---------------------------------------------------------------------------
 # preparational faithfulness
 # ---------------------------------------------------------------------------
