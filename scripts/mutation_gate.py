@@ -109,6 +109,24 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
         '"dynamically-faithful", rank == span,',
         '"dynamically-faithful", rank >= span - 1,',
     ),
+    (
+        "_prep_residuals: only the first target compared",
+        "src/gpt_tomo/witnesses.py",
+        "    return np.abs(coords - p[:, None] * np.stack([t.coords for t in targets])).max(axis=1)\n",
+        "    return np.abs(coords[:1] - p[:1, None] * np.stack([t.coords for t in targets])[:1]).max(axis=1)\n",
+    ),
+    (
+        "is_doubly_preparationally_faithful: residuals judged at 10 sqrt(tol)",
+        "src/gpt_tomo/witnesses.py",
+        "(residuals <= sqrt(tol)).all()",
+        "(residuals <= 10 * sqrt(tol)).all()",
+    ),
+    (
+        "face_spanning_states: only the first face state kept",
+        "src/gpt_tomo/tomography.py",
+        "    return _state_reps(sys, emb, DEFAULT_TOL)\n",
+        "    return _state_reps(sys, emb[:1], DEFAULT_TOL)\n",
+    ),
 )
 
 

@@ -321,6 +321,19 @@ def _state_rep(sys: SystemDescriptor, mat: np.ndarray, tol: float) -> StateVecto
     return _weighed(sys, coords, float(np.trace(held).real), held, tol)
 
 
+def _state_reps(sys: SystemDescriptor, mats: np.ndarray, tol: float) -> list[StateVector]:
+    """``_state_rep`` on a stack (m, n, n) of matrices known to be positive.
+
+    One projection, one finite check and one ``_matrices`` for the whole
+    stack; the weight check and kind flag per state.  Each state is bit for
+    bit the one ``_state_rep`` builds from its matrix.
+    """
+    coords = _projection(sys, mats, tol)
+    _require_finite(coords, "state coordinates")
+    held = _matrices(sys, coords)
+    return [_weighed(sys, row, float(np.trace(mat).real), mat, tol) for row, mat in zip(coords, held)]
+
+
 def _weighed(
     sys: SystemDescriptor, coords: np.ndarray, total: float, mat: np.ndarray, tol: float
 ) -> StateVector:
@@ -667,7 +680,15 @@ def _act(p: ProcessRep, arr: np.ndarray, left: int) -> np.ndarray:
     """
     if p.stoch is not None:
         return _on_rows(p.stoch, arr, left)
-    ops = p.kraus[:, None]  # an operator axis ahead of the state axis
+    return _sandwich(p.kraus[:, None], arr, left)  # an operator axis ahead of the state axis
+
+
+def _sandwich(ops: np.ndarray, arr: np.ndarray, left: int) -> np.ndarray:
+    """sum_k K rho K^dag over the leading operator axis of ``ops`` (k, ..., d_out, d_in).
+
+    The axes between broadcast against the stack ``arr``: one process on
+    many states, or (m, ...) operator stacks on one state, each acting once.
+    """
     half = _on_rows(ops, arr, left).conj().swapaxes(-1, -2)  # (K rho)^dag per K and state
     return _on_rows(ops, half, left).sum(axis=0).conj().swapaxes(-1, -2)
 
@@ -700,24 +721,24 @@ def _images(procs: Sequence[ProcessRep], states: Sequence[StateVector]) -> list[
     return [_checked_images(out_sys, _act(q, stack, 1)) for q in procs]
 
 
-def _checked_images(sys: SystemDescriptor, arr: np.ndarray) -> np.ndarray:
-    """Coordinate rows (m, state_dim) of a stack of ``_act`` images on ``sys``.
+def _checked_images(sys: SystemDescriptor, arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Coordinate rows (m, state_dim) of a stack of images on ``sys``.
 
-    The checks ``apply_to_factors`` runs on each image, with the same
-    messages, on the whole stack at the default tolerance: residue (Kraus
-    images) or sign (classical columns, whose least entry is the least
-    eigenvalue of their diagonal matrix), finite, weight.
+    The checks ``apply_to_factors`` runs on each image at ``tol``, with the
+    same messages, on the whole stack: residue (Kraus images) or sign
+    (classical columns, whose least entry is the least eigenvalue of their
+    diagonal matrix), finite, weight.
     """
     if sys.backend == CLASSICAL:
         coords = arr[..., 0]
         _require_finite(coords, "state coordinates")
-        if coords.min() < -DEFAULT_TOL:
+        if coords.min() < -tol:
             raise ValueError(f"state matrix has negative eigenvalue {coords.min():.3e}")
     else:
-        coords = _projection(sys, arr, DEFAULT_TOL)
+        coords = _projection(sys, arr, tol)
         _require_finite(coords, "state coordinates")
     totals = coords[:, : sys.total_dim].sum(axis=1)
-    over = totals[totals > 1.0 + DEFAULT_TOL]
+    over = totals[totals > 1.0 + tol]
     if over.size:
         raise ValueError(f"state weight {over[0]} exceeds 1")
     return coords

@@ -46,7 +46,7 @@ from .core import (
     matrix_to_coords,
     _images,
     _near,
-    _state_rep,
+    _state_reps,
     source_states,
     state_from_coords,
     system,
@@ -152,8 +152,12 @@ def face_spanning_states(rho: StateVector, *, tol: float = DEFAULT_TOL) -> list[
     """Deterministic states spanning the face of rho (states contained in rho).
 
     On the quantum family each is V sigma V^dag for a spanning state sigma of
-    the support and the isometry V onto it, a completely positive image, so
-    ``_state_rep`` builds it without an eigenvalue test.
+    the r-dimensional support and the isometry V onto it, a completely
+    positive image.  The family is built as one stack: one broadcast matmul
+    over the stacked sigma, then ``_state_reps`` projects and checks the
+    stack once at the default tolerance, without an eigenvalue test, and
+    flags each state.  An empty support (the zero state) has an empty face
+    on every backend.
     """
     sys = rho.system
     if sys.backend == CLASSICAL:
@@ -161,13 +165,11 @@ def face_spanning_states(rho: StateVector, *, tol: float = DEFAULT_TOL) -> list[
         return [points[i] for i in np.flatnonzero(rho.coords > tol)]
     vals, vecs = np.linalg.eigh(rho.matrix)
     support = vecs[:, vals > tol]
-    r = support.shape[1]
-    small = SystemDescriptor(sys.backend, (r,))
-    out = []
-    for small_state in bk.spanning_states(small):
-        emb = support @ small_state.matrix @ support.conj().T
-        out.append(_state_rep(sys, emb, DEFAULT_TOL))
-    return out
+    if not support.shape[1]:
+        return []
+    small = bk.spanning_states(SystemDescriptor(sys.backend, (support.shape[1],)))
+    emb = support @ np.stack([s.matrix for s in small]) @ support.conj().T
+    return _state_reps(sys, emb, DEFAULT_TOL)
 
 
 def equal_upon_input(

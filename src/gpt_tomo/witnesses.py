@@ -53,6 +53,12 @@ from .core import (
     system,
     tensor_states,
     tensor_systems,
+    _checked_images,
+    _kraus_rep,
+    _on_rows,
+    _require_finite,
+    _sandwich,
+    _stoch_rep,
 )
 from .reports import CheckReport, UsageError
 from .tomography import equal_on_source, equal_processes, is_locally_tomographic
@@ -410,39 +416,106 @@ def preparationally_faithful_witness(
     pure target with coefficient matrix c the witness is the single Kraus
     operator carrying c, scaled by the top singular value; mixed targets
     eigendecompose and share one scalar across branches, fixed by the
-    largest-branch normalization.  The witness is returned unverified;
-    ``is_doubly_preparationally_faithful`` checks it with ``_residual``.
+    largest-branch normalization.  The one-target case of ``_prep_witnesses``,
+    which validates the witness as ``kraus_process`` (``stochastic_process``
+    on classical) would.  The witness is returned unverified;
+    ``is_doubly_preparationally_faithful`` checks it with ``_prep_residuals``.
     """
     a = subsystem(phi.system, [0])
-    d = a.total_dim
-    if target.weight <= tol:
+    p, ops, env = _prep_witnesses(phi, [target], side=side, tol=tol)
+    rep = _stoch_rep if a.backend == CLASSICAL else _kraus_rep
+    return float(p[0]), rep(a, env, ops[0], np.sqrt(tol))
+
+
+def _prep_witnesses(
+    phi: StateVector, targets: list[StateVector], *, side: str, tol: float
+) -> tuple[np.ndarray, np.ndarray, SystemDescriptor]:
+    """Scalars (m,), operator stack and output block of the witnesses of m targets on one composite.
+
+    Quantum family: one ``eigh`` over the (m, n, n) targets keeps sqrt(lambda) u
+    per eigenpair above ``tol`` (``kraus_from_psd``), one Gram ``eigvalsh``
+    gives the scalars, and the stack is (m, k, d_out, d_in), complex.
+    Classical: one (m, n_e, d) stochastic stack.  Each witness gets every
+    check of ``kraus_process`` (finite, real class, I - sum K^dag K >= 0 by one
+    stacked ``eigvalsh``) or of ``stochastic_process`` (finite, signs, column
+    sums) at sqrt(tol).  A ``ValueError`` names the first failure in the
+    stack; targets whose cutoffs keep different operator counts raise too.
+    """
+    a = subsystem(phi.system, [0])
+    d, k_a = a.total_dim, a.n_factors
+    comp = targets[0].system
+    coords = np.stack([t.coords for t in targets])
+    if (coords @ deterministic_effect(comp).coords <= tol).any():
         raise ValueError("cannot prepare the zero target with a cancellative scalar")
+    slack = np.sqrt(tol)
 
     if a.backend == CLASSICAL:
         if side != "second":
             raise ValueError("classical witness is implemented on the second factor")
-        env = SystemDescriptor(a.backend, target.system.dims[1:])
-        joint = target.coords.reshape(d, env.total_dim)
-        marg = joint.sum(axis=1)
-        p = 1.0 / (d * marg.max())
-        s_mat = p * d * joint.T
-        witness = stochastic_process(a, env, s_mat, tol=np.sqrt(tol))
+        env = SystemDescriptor(a.backend, comp.dims[1:])
+        joints = coords.reshape(len(targets), d, env.total_dim)
+        p = 1.0 / (d * joints.sum(axis=2).max(axis=1))
+        stoch = (p * d)[:, None, None] * joints.swapaxes(1, 2)
+        _require_finite(stoch, "stochastic matrix")
+        if stoch.min() < -slack:
+            raise ValueError("stochastic matrix has a negative entry")
+        if stoch.sum(axis=1).max() > 1.0 + slack:
+            raise ValueError("stochastic matrix has a column summing above 1")
+        return p, stoch, env
+
+    # one sqrt(lambda) u per branch, as a coefficient matrix from the A copy to E
+    n_e = comp.total_dim // d
+    if side == "second":
+        env = SystemDescriptor(a.backend, comp.dims[k_a:])
     else:
-        # one sqrt(lambda) u per branch, as a coefficient matrix from the A copy to E
-        k_a, n_e = a.n_factors, target.system.total_dim // d
-        if side == "second":
-            env = SystemDescriptor(a.backend, target.system.dims[k_a:])
-            coeff_mats = kraus_from_psd(target.matrix, (d, n_e), cutoff=tol).transpose(0, 2, 1)
-        else:
-            env = SystemDescriptor(a.backend, target.system.dims[: target.system.n_factors - k_a])
-            coeff_mats = kraus_from_psd(target.matrix, (n_e, d), cutoff=tol)
-        gram = (coeff_mats.conj().transpose(0, 2, 1) @ coeff_mats).sum(axis=0)
-        top = float(np.linalg.eigvalsh(gram).max())
-        if top <= 0.0:  # no eigenvalue above tol: only the one zero operator came back
-            raise ValueError("cannot prepare the zero target with a cancellative scalar")
-        p = 1.0 / (d * top)
-        witness = kraus_process(a, env, np.sqrt(p * d) * coeff_mats, tol=np.sqrt(tol))
-    return p, witness
+        env = SystemDescriptor(a.backend, comp.dims[: comp.n_factors - k_a])
+    vals, us = np.linalg.eigh(np.stack([t.matrix for t in targets]))
+    kept = (vals > tol).sum(axis=1)  # eigh sorts ascending, so the kept pairs are the last ones
+    k = int(kept[0])
+    if (kept != k).any():
+        raise ValueError("the targets keep different operator counts")
+    if not k:
+        raise ValueError("cannot prepare the zero target with a cancellative scalar")
+    branches = np.ascontiguousarray((np.sqrt(vals[:, -k:])[:, None, :] * us[:, :, -k:]).swapaxes(1, 2))
+    if side == "second":
+        coeff_mats = branches.reshape(len(targets), k, d, n_e).swapaxes(2, 3)
+    else:
+        coeff_mats = branches.reshape(len(targets), k, n_e, d)
+    gram = (coeff_mats.conj().swapaxes(2, 3) @ coeff_mats).sum(axis=1)
+    top = np.linalg.eigvalsh(gram).max(axis=1)
+    if (top <= 0.0).any():
+        raise ValueError("cannot prepare the zero target with a cancellative scalar")
+    p = 1.0 / (d * top)
+    ops = np.ascontiguousarray(np.sqrt(p * d)[:, None, None, None] * coeff_mats, dtype=complex)
+    _require_finite(ops, "Kraus operator")
+    if a.backend == REAL and not np.all(
+        (np.abs(ops.imag).max(axis=(2, 3)) <= slack) | (np.abs(ops.real).max(axis=(2, 3)) <= slack)
+    ):
+        raise ValueError("real-backend Kraus operators must be entrywise real or entrywise purely imaginary")
+    stacked = ops.reshape(len(targets), -1, d)  # sum_k K_k^dag K_k per witness as one product
+    if np.linalg.eigvalsh(np.eye(d) - stacked.conj().swapaxes(1, 2) @ stacked).min() < -slack:
+        raise ValueError("Kraus list is not physical: sum K^dag K exceeds the identity")
+    return p, ops, env
+
+
+def _prep_residuals(
+    phi: StateVector, targets: list[StateVector], side: str, tol: float
+) -> np.ndarray:
+    """max |(I (x) S) Phi - p target| per target, every witness judged in one stack.
+
+    The witnesses act on Phi at once (``_sandwich``, or ``_on_rows`` for the
+    stochastic stack), and their images are projected once with the residue,
+    finite and weight checks at sqrt(tol) (``_checked_images``), as
+    ``apply_to_factors`` checks one image.
+    """
+    p, ops, _ = _prep_witnesses(phi, targets, side=side, tol=tol)
+    left = 1 if side == "first" else phi.system.dims[0]
+    if phi.system.backend == CLASSICAL:
+        images = _on_rows(ops, phi.coords[None, :, None], left)
+    else:
+        images = _sandwich(ops.swapaxes(0, 1), phi.matrix[None], left)
+    coords = _checked_images(targets[0].system, images, np.sqrt(tol))
+    return np.abs(coords - p[:, None] * np.stack([t.coords for t in targets])).max(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -467,7 +540,19 @@ def is_doubly_preparationally_faithful(
     backend the witnesses exist while Local Tomography fails, so standard
     tomography must fail, as exhibited by a pair of processes that agree on
     every single-system input without being equal.
+
+    Each (composite, side) pair draws its ``samples`` targets first, in the
+    order one draw per target would take them, and judges their witnesses
+    as one stack (``_prep_residuals``): p * target == (I (x) S) Phi within
+    sqrt(tol), S applied at sqrt(tol) with the residue, finite and weight
+    checks.  When the stack raises (the targets keep different operator
+    counts, or one witness or image fails a check), that pair falls back to
+    judging target by target on stacks of one, so a failure spoils only its
+    own target's verdict and ``witness_max_residual`` is the largest residual
+    of the witnesses judged.  Fewer than one sample is a usage error.
     """
+    if samples < 1:
+        raise UsageError(f"doubly preparational faithfulness needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     phi = bk.maximally_entangled_state(a)
     aa, ab = tensor_systems(a, a), tensor_systems(a, b)
@@ -477,17 +562,19 @@ def is_doubly_preparationally_faithful(
     max_residual = 0.0
     ok = True
     for comp, side in ((aa, "second"), (ab, "second"), (aa, first)):
-        for _ in range(samples):
-            target = bk.random_state(comp, rng)
-            try:
-                p, witness = preparationally_faithful_witness(phi, target, side=side, tol=tol)
-                start = 0 if side == "first" else None
-                residual = _residual(witness, phi, target, p, start=start, tol=np.sqrt(tol))
-            except ValueError:
-                ok = False
-                continue
-            ok = ok and residual <= sqrt(tol)
-            max_residual = max(max_residual, residual)
+        targets = [bk.random_state(comp, rng) for _ in range(samples)]
+        try:
+            judged = [_prep_residuals(phi, targets, side, tol)]
+        except ValueError:  # judge target by target, so one failure spoils only its own verdict
+            judged = []
+            for target in targets:
+                try:
+                    judged.append(_prep_residuals(phi, [target], side, tol))
+                except ValueError:
+                    ok = False
+        for residuals in judged:
+            ok = ok and bool((residuals <= sqrt(tol)).all())
+            max_residual = max(max_residual, float(residuals.max()))
 
     lt_report = is_locally_tomographic(a, b, tol=tol)
     details = {

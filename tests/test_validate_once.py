@@ -10,8 +10,11 @@ Likewise the images of validated states under ``apply_to_factors``, the
 factor reductions and ``tensor_states``, and the matrices vv^dag and
 gg^dag/tr, are built by ``core._state_rep``, which skips only the
 eigenvalue test.  Routing it back through ``state_from_matrix`` must leave
-every state and every verdict bit-identical.  The equality rule acts on one
-stack of test states (``core._images``), which must match the per-state
+every state and every verdict bit-identical; so must routing each matrix of
+a stack through it, for the stacked states (``core._state_reps``, the face
+family) and the stacked images (``core._checked_images``, the equality rule
+and the preparational-faithfulness witnesses).  The equality rule acts on
+one stack of test states (``core._images``), which must match the per-state
 action bit for bit.  The public constructors keep the eigenvalue test, and
 its boundary sits at ``tol``.
 """
@@ -137,32 +140,67 @@ def _workload():
     return out
 
 
-def _record_states(monkeypatch, builder):
-    """Run the workload with ``_state_rep`` replaced by ``builder``; every state it returned, and the results."""
-    made = []
+def _fully_validated(sys_, mat, tol):
+    return c.state_from_matrix(sys_, mat, tol=tol)
+
+
+def _fully_validated_stack(sys_, mats, tol):
+    return [_fully_validated(sys_, mat, tol) for mat in mats]
+
+
+def _fully_validated_images(sys_, arr, tol=c.DEFAULT_TOL):
+    """``_checked_images`` with each image built by a public constructor (coordinate columns on classical)."""
+    if sys_.backend == CLASSICAL:
+        return np.stack([c.state_from_coords(sys_, col[:, 0], tol=tol).coords for col in arr])
+    return np.stack([_fully_validated(sys_, mat, tol).coords for mat in arr])
+
+
+def _record_states(monkeypatch, single, stacked, images):
+    """Run the workload with ``_state_rep``, ``_state_reps`` and ``_checked_images`` replaced.
+
+    Returns every state the first two returned, every coordinate stack the
+    third returned, and the results.
+    """
+    made, rows = [], []
 
     def recording(sys_, mat, tol):
-        made.append(builder(sys_, mat, tol))
+        made.append(single(sys_, mat, tol))
         return made[-1]
 
+    def recording_stack(sys_, mats, tol):
+        made.extend(stacked(sys_, mats, tol))
+        return made[len(made) - len(mats) :]
+
+    def recording_images(*args):
+        rows.append(images(*args))
+        return rows[-1]
+
     with monkeypatch.context() as mp:
-        for mod in (c, bk, tm):
+        for mod in (c, bk):
             mp.setattr(mod, "_state_rep", recording)
+        for mod in (c, tm):
+            mp.setattr(mod, "_state_reps", recording_stack)
+        for mod in (c, wt):
+            mp.setattr(mod, "_checked_images", recording_images)
         _clear_caches()
         results = _workload()
     _clear_caches()
-    return made, results
+    return made, rows, results
 
 
 def test_full_validation_of_images_changes_nothing(monkeypatch):
-    fast_made, fast_results = _record_states(monkeypatch, c._state_rep)
-    full_made, full_results = _record_states(
-        monkeypatch, lambda sys_, mat, tol: c.state_from_matrix(sys_, mat, tol=tol)
+    fast_made, fast_rows, fast_results = _record_states(
+        monkeypatch, c._state_rep, c._state_reps, c._checked_images
+    )
+    full_made, full_rows, full_results = _record_states(
+        monkeypatch, _fully_validated, _fully_validated_stack, _fully_validated_images
     )
     assert len(fast_made) == len(full_made) > 250
     assert {s.system.backend for s in fast_made} == {CLASSICAL, QUANTUM, REAL}
     assert all(s._matrix is not None for s in fast_made)
     assert [_canon(s) for s in fast_made] == [_canon(s) for s in full_made]
+    assert sum(len(r) for r in fast_rows) == sum(len(r) for r in full_rows) > 250
+    assert [_canon(r) for r in fast_rows] == [_canon(r) for r in full_rows]
     assert len(fast_results) == len(full_results) > 100
     assert [_canon(r) for r in fast_results] == [_canon(r) for r in full_results]
     assert [problem for _, problem, _ in fast_results] == [""] * len(fast_results)

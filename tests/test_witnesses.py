@@ -541,6 +541,13 @@ def test_doubly_prep_faithful_classical(bit):
     assert rep.details["local_tomography_pass"]
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_doubly_prep_faithful_refuses_fewer_than_one_sample(qubit, samples):
+    # judging no witness must not pass vacuously
+    with pytest.raises(UsageError, match=f"needs at least one sample, got {samples}"):
+        wt.is_doubly_preparationally_faithful(qubit, qubit, samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # the bent-wire identity restricted to a state's face
 # ---------------------------------------------------------------------------
@@ -685,13 +692,13 @@ def test_universal_extension_check_fails_on_1e_8_of_a_replace_channel(monkeypatc
 
 @pytest.mark.parametrize("backend", [QUANTUM, REAL, CLASSICAL])
 def test_doubly_prep_faithful_fails_on_a_wrong_scalar(monkeypatch, backend):
-    build = wt.preparationally_faithful_witness
+    build = wt._prep_witnesses
 
     def off(*args, **kwargs):
-        p, s_proc = build(*args, **kwargs)
-        return p * (1.0 + 1e-3), s_proc
+        p, ops, env = build(*args, **kwargs)
+        return p * (1.0 + 1e-3), ops, env
 
-    monkeypatch.setattr(wt, "preparationally_faithful_witness", off)
+    monkeypatch.setattr(wt, "_prep_witnesses", off)
     a = system(backend, 2)
     rep = wt.is_doubly_preparationally_faithful(a, a, seed=0)
     assert rep.passed is False
@@ -700,13 +707,13 @@ def test_doubly_prep_faithful_fails_on_a_wrong_scalar(monkeypatch, backend):
 
 
 def test_doubly_prep_faithful_reports_first_factor_residuals(monkeypatch):
-    build = wt.preparationally_faithful_witness
+    build = wt._prep_witnesses
 
-    def off_on_first(*args, side="second", **kwargs):
-        p, s_proc = build(*args, side=side, **kwargs)
-        return (p * 1.001 if side == "first" else p), s_proc
+    def off_on_first(*args, side, **kwargs):
+        p, ops, env = build(*args, side=side, **kwargs)
+        return (p * 1.001 if side == "first" else p), ops, env
 
-    monkeypatch.setattr(wt, "preparationally_faithful_witness", off_on_first)
+    monkeypatch.setattr(wt, "_prep_witnesses", off_on_first)
     rep = wt.is_doubly_preparationally_faithful(system(QUANTUM, 2), system(QUANTUM, 3), seed=0)
     assert rep.passed is False
     # the maximum covers the first-factor witnesses it judged
