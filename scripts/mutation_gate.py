@@ -127,6 +127,24 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
         "    return _state_reps(sys, emb, DEFAULT_TOL)\n",
         "    return _state_reps(sys, emb[:1], DEFAULT_TOL)\n",
     ),
+    (
+        "_read_kraus: structure and equal-row-length check dropped",
+        "src/gpt_tomo/dsl.py",
+        '    if stripped != "[" * depth + _SEPS[depth - 1].join(items) + "]" * depth:\n',
+        "    if False:\n",
+    ),
+    (
+        "_read_kraus: the halves of each [re, im] pair swapped",
+        "src/gpt_tomo/dsl.py",
+        "        entries = map(complex, pairs, pairs)\n",
+        "        entries = (complex(im, re) for re, im in zip(pairs, pairs))\n",
+    ),
+    (
+        "parse: the fallback to fine tokens never taken",
+        "src/gpt_tomo/dsl.py",
+        "    except DslError:\n        return _parse(text, filename, bulk=False)\n",
+        "    except ArithmeticError:\n        return _parse(text, filename, bulk=False)\n",
+    ),
 )
 
 

@@ -23,11 +23,19 @@ Grammar::
     atom     := "(" expr ")" | "id" "[" ID "]" | ID
 
 ``f . g`` runs ``g`` first (right-to-left application); ``||`` binds tighter
-than ``.``.  Diagnostics are positioned as ``file:line:col: message`` and
-parsing never panics on malformed input.  Tokens are plain ``(kind, text,
-offset)`` tuples; line and column are worked out only for a diagnostic or an
-AST position.
-The conventional file extension is ``.opt``.
+than ``.``.  Parentheses nest at most ``MAX_NESTING`` (100) deep; chains of
+``.`` and ``||`` may be of any length, since the typechecker and the
+evaluator walk the tree with an explicit stack.
+
+Tokens are plain ``(kind, text, offset)`` tuples; line and column are worked
+out only for a diagnostic or an AST position.  A regular ``kraus[...]``
+literal -- every entry a plain number or every entry an ``[re, im]`` pair,
+all rows of one length, only whitespace between the lexemes -- is one token,
+and its numbers are read in one pass.  Every other literal, ``stoch[...]``
+included, is read lexeme by lexeme.  When a parse raises, the program is
+parsed again on fine tokens, so every diagnostic (``file:line:col:
+message``) comes from the token path.  Parsing never panics on malformed
+input.  The conventional file extension is ``.opt``.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
+from math import prod
 from typing import Any, Callable
 
 import numpy as np
@@ -68,6 +78,7 @@ from .reports import CheckReport
 KEYWORDS = {"system", "state", "effect", "proc", "on", "run", "id"}
 BACKEND_NAMES = set(BACKENDS)
 BUILTINS = {"maxmix", "bell", "bell_effect", "unit"}
+MAX_NESTING = 100  # parentheses open at once; the parser recurses once per level
 
 
 class DslError(Exception):
@@ -87,19 +98,28 @@ class DslError(Exception):
 
 # Every match swallows the whitespace and comments before its token; "bad"
 # and "eof" make a match exist at every offset, so finditer skips nothing.
-_TOKEN_RE = re.compile(
-    r"""
+_TOKENS = r"""
     (?:\s|\#[^\n]*)*
-    (?: (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    (?: {kraus}
+        (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<arrow>->)
       | (?P<par>\|\|)
       | (?P<sym>[;,.=()\[\]])
       | (?P<eof>\Z)
       | (?P<bad>.) )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+    """
+
+# A whole kraus literal as one candidate token: "kraus", then one run of
+# ASCII brackets, commas, whitespace and number characters up to its last
+# "]".  The pattern is flat; ``_read_kraus`` checks the structure.
+_KRAUS = r"(?P<kraus>kraus[ \t\n\r\f\v]*\[[-+.0-9eE \t\n\r\f\v,\[\]]*\]) |"
+
+
+@cache
+def _token_re(bulk: bool) -> re.Pattern:
+    """Compiled on first use, so a process that parses no program never compiles it."""
+    return re.compile(_TOKENS.format(kraus=_KRAUS if bulk else ""), re.VERBOSE | re.DOTALL)
 
 
 Token = tuple[str, str, int]  # kind, text, offset
@@ -115,10 +135,15 @@ def _line_col(newlines: list[int], offset: int) -> Pos:
     return k + 1, offset - (newlines[k - 1] if k else -1)
 
 
-def tokenize(text: str, filename: str = "<string>") -> list[Token]:
-    """One ``finditer`` pass; the list ends with an ``eof`` token."""
+def tokenize(text: str, filename: str = "<string>", bulk: bool = True) -> list[Token]:
+    """One ``finditer`` pass; the list ends with an ``eof`` token.
+
+    With ``bulk``, each ``kraus`` followed by a bracketed run of numbers is
+    one ``kraus`` token holding the whole literal; without it every lexeme
+    is a token of its own.
+    """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _token_re(bulk).finditer(text):
         kind = m.lastgroup
         offset = m.start(kind)
         if kind == "bad":
@@ -128,6 +153,56 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
         if kind == "eof":
             break
     return tokens
+
+
+_DROP_WS = str.maketrans("", "", " \t\n\r\f\v")
+_SEPARATORS = str.maketrans("[],", "   ")
+_SEPS = tuple("]" * level + "," + "[" * level for level in range(4))  # between items at each depth
+# Of the texts a literal token can hold between separators, float() accepts
+# the token grammar's numbers and, beyond them, only texts with a leading "+"
+# or a "." that lacks a digit on one side ("+1", ".5", "-.5", "1.", "1.e5").
+# Among the numbers joined and wrapped by spaces, those show as these substrings.
+_NOT_IN_NUMBERS = (" +", " .", "-.", ". ", ".e", ".E")
+
+
+def _read_kraus(body: str) -> tuple[tuple[tuple[complex, ...], ...], ...] | None:
+    """The matrices of a regular literal body ``[[[...]]]``, or None when it is not regular.
+
+    Regular: every entry a plain number or every entry an ``[re, im]`` pair,
+    all rows of one length, and only whitespace between the lexemes.  The
+    body without whitespace must be the one text that its numbers, its
+    nesting depth and its first pair, row and matrix imply, and every number
+    must be one of the token grammar.  The numbers go through ``float`` and
+    ``complex`` as on the token path, so the values are the same.
+    """
+    stripped = body.translate(_DROP_WS)
+    depth = len(stripped) - len(stripped.lstrip("["))
+    if depth not in (3, 4):
+        return None
+    # items in the first pair (depth 4 only), the first row and the first matrix
+    sizes = [stripped[: stripped.find("]" * (lv + 1))].count(_SEPS[lv]) + 1 for lv in range(depth - 1)]
+    nums = body.translate(_SEPARATORS).split()
+    if (depth == 4 and sizes[0] != 2) or not nums or len(nums) % prod(sizes):
+        return None
+    items = nums
+    for sep, size in zip(_SEPS, sizes):
+        items = map(sep.join, zip(*[iter(items)] * size))
+    if stripped != "[" * depth + _SEPS[depth - 1].join(items) + "]" * depth:
+        return None
+    spaced = " " + " ".join(nums) + " "
+    if any(text in spaced for text in _NOT_IN_NUMBERS):
+        return None
+    try:
+        values = list(map(float, nums))
+    except ValueError:
+        return None
+    if depth == 4:
+        pairs = iter(values)
+        entries = map(complex, pairs, pairs)
+    else:
+        entries = map(complex, values)
+    cols, rows = sizes[-2:]
+    return tuple(zip(*[zip(*[entries] * cols)] * rows))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +291,12 @@ class CircuitAST:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str, filename: str):
-        self.tokens = tokenize(text, filename)
+    def __init__(self, text: str, filename: str, bulk: bool):
+        self.tokens = tokenize(text, filename, bulk)
         self.newlines = _newlines(text)
         self.filename = filename
         self.i = 0
+        self.nesting = 0  # parentheses open around the current token
 
     def pos(self, tok: Token) -> Pos:
         return _line_col(self.newlines, tok[2])
@@ -326,6 +402,12 @@ class _Parser:
 
     def parse_literal(self) -> Literal:
         kind, text, _ = self.peek()
+        if kind == "kraus":  # a whole literal, read by the bulk tokenizer
+            mats = _read_kraus(text[len("kraus"):])
+            if mats is None:
+                raise self.error("irregular kraus literal")  # parse() reads it again on fine tokens
+            self.next()
+            return KrausLit(mats)
         if kind != "ident":
             raise self.error(f"expected a literal, found {text!r}")
         if text in BUILTINS:
@@ -415,9 +497,13 @@ class _Parser:
         tok = self.peek()
         kind, text, _ = tok
         if kind == "sym" and text == "(":
+            if self.nesting == MAX_NESTING:
+                raise self.error(f"parentheses nested more than {MAX_NESTING} deep")
+            self.nesting += 1
             self.next()
             inner = self.parse_expr()
             self.expect("sym", ")")
+            self.nesting -= 1
             return inner
         if kind == "ident" and text == "id":
             self.next()
@@ -431,9 +517,21 @@ class _Parser:
         raise self.error(f"expected an expression, found {text or 'end of input'!r}")
 
 
+def _parse(text: str, filename: str, bulk: bool) -> CircuitAST:
+    return _Parser(text, filename, bulk).parse_program()
+
+
 def parse(text: str, filename: str = "<string>") -> CircuitAST:
-    """Parse a program, raising a positioned ``DslError`` on malformed input."""
-    return _Parser(text, filename).parse_program()
+    """Parse a program, raising a positioned ``DslError`` on malformed input.
+
+    Regular kraus literals are read whole.  When that read raises, the
+    program is parsed again on fine tokens, so every diagnostic comes from
+    the token path.
+    """
+    try:
+        return _parse(text, filename, bulk=True)
+    except DslError:
+        return _parse(text, filename, bulk=False)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +588,31 @@ def pretty(ast: CircuitAST) -> str:
 # Typechecker
 # ---------------------------------------------------------------------------
 
+def _fold(root, children: Callable, visit: Callable):
+    """``visit(node, results of its children)`` on every node, children first and left to right.
+
+    An explicit stack replaces recursion, so a chain of any length needs no
+    Python frame per node.  A ``(node, n)`` pair on the stack marks a node
+    whose n children are done.
+    """
+    stack, results = [root], []
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            node, n = item
+            args = results[-n:]
+            del results[-n:]
+            results.append(visit(node, args))
+            continue
+        kids = children(item)
+        if kids:
+            stack.append((item, len(kids)))
+            stack.extend(reversed(kids))
+        else:
+            results.append(visit(item, ()))
+    return results[0]
+
+
 @dataclass(frozen=True)
 class TypedExpr:
     node: Expr
@@ -507,6 +630,10 @@ class TypedProgram:
     filename: str
 
 
+def _operands(expr: Expr) -> tuple[Expr, ...]:
+    return (expr.left, expr.right) if isinstance(expr, (Seq, Par)) else ()
+
+
 def typecheck(ast: CircuitAST, filename: str = "<string>") -> TypedProgram:
     """Resolve wire labels and compute system lists bottom-up."""
     systems: dict[str, SystemDescriptor] = {}
@@ -522,7 +649,7 @@ def typecheck(ast: CircuitAST, filename: str = "<string>") -> TypedProgram:
             raise DslError(f"declaration {v.name!r} mixes backends {sorted(backs)}", *v.pos, filename)
         values[v.name] = v
 
-    def check(expr: Expr) -> TypedExpr:
+    def check(expr: Expr, typed: list[TypedExpr]) -> TypedExpr:
         if isinstance(expr, Atom):
             if expr.name not in values:
                 raise DslError(f"unknown identifier {expr.name!r}", *expr.pos, filename)
@@ -532,8 +659,7 @@ def typecheck(ast: CircuitAST, filename: str = "<string>") -> TypedProgram:
             if expr.system not in systems:
                 raise DslError(f"unknown system {expr.system!r}", *expr.pos, filename)
             return TypedExpr(expr, (expr.system,), (expr.system,), ())
-        left = check(expr.left)
-        right = check(expr.right)
+        left, right = typed
         if isinstance(expr, Seq):
             if right.outs != left.ins:
                 raise DslError(
@@ -551,7 +677,7 @@ def typecheck(ast: CircuitAST, filename: str = "<string>") -> TypedProgram:
             )
         return TypedExpr(expr, left.ins + right.ins, left.outs + right.outs, (left, right))
 
-    return TypedProgram(ast, systems, values, check(ast.run), filename)
+    return TypedProgram(ast, systems, values, _fold(ast.run, _operands, check), filename)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +751,7 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
     """Contract the run expression; a closed diagram yields a probability."""
     cache: dict[str, ProcessRep] = {}
 
-    def run(t: TypedExpr) -> ProcessRep:
+    def run(t: TypedExpr, operands: list[ProcessRep]) -> ProcessRep:
         node = t.node
         if isinstance(node, Atom):
             if node.name not in cache:
@@ -633,7 +759,7 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
             return cache[node.name]
         if isinstance(node, Ident):
             return identity_process(prog.systems[node.system])
-        left, right = (run(ch) for ch in t.children)
+        left, right = operands
         try:
             if isinstance(node, Seq):
                 return compose(left, right, tol=tol)
@@ -641,7 +767,7 @@ def evaluate(prog: TypedProgram, tol: float = DEFAULT_TOL) -> EvalResult:
         except ValueError as exc:
             raise DslError(str(exc), *node.pos, prog.filename) from exc
 
-    proc = run(prog.run)
+    proc = _fold(prog.run, lambda t: t.children, run)
     if proc.input.is_trivial and proc.output.is_trivial:
         if proc.stoch is not None:
             scalar = float(proc.stoch[0, 0])

@@ -1,5 +1,6 @@
 """Parser, typechecker and evaluator for the circuit language."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -280,6 +281,64 @@ def test_deep_chain_keeps_minimal_kraus_lists(monkeypatch):
     assert 0 < largest[0] <= 4
     assert result.kind == "state"
     assert np.abs(result.payload.matrix - rho).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# long chains and deep nesting
+# ---------------------------------------------------------------------------
+
+def _rotation_chain(steps: int, angle: float) -> str:
+    """<0| R^steps |0> as a closed diagram, R the real rotation by ``angle``."""
+    co, si = float(np.cos(angle)), float(np.sin(angle))
+    return "\n".join([
+        "system A quantum 2;",
+        "state zero on A = kraus[[[1], [0]]];",
+        f"proc R on A -> A = kraus[[[{co!r}, {-si!r}], [{si!r}, {co!r}]]];",
+        "effect e on A = kraus[[[1, 0]]];",
+        "run e . " + " . ".join(["R"] * steps) + " . zero",
+    ]) + "\n"
+
+
+def test_a_2000_step_chain_runs_to_the_numpy_value(tmp_path, capsys):
+    from gpt_tomo import cli
+
+    angle = 0.1
+    co, si = np.cos(angle), np.sin(angle)
+    ket = np.linalg.matrix_power(np.array([[co, -si], [si, co]]), 2000) @ np.array([1.0, 0.0])
+    expected = abs(ket[0]) ** 2
+    path = tmp_path / "chain.opt"
+    path.write_text(_rotation_chain(2000, angle))
+    assert dsl.run_file(str(path)).payload == pytest.approx(expected, abs=1e-9)
+    assert cli.main(["run", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"]["value"] == pytest.approx(expected, abs=1e-9)
+
+
+def test_a_type_error_deep_in_a_long_chain_is_positioned():
+    text = _rotation_chain(1500, 0.1).replace("R . R", "R . Q", 1)
+    with pytest.raises(dsl.DslError) as err:
+        dsl.run_program(text)
+    assert err.value.message == "unknown identifier 'Q'"
+    assert (err.value.line, err.value.col) == (5, 13)
+
+
+def _nested(depth: int) -> str:
+    return "system A quantum 2;\nproc U on A -> A = kraus[[[1, 0], [0, 1]]];\nrun " + "(" * depth + "U" + ")" * depth + "\n"
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert dsl.parse(_nested(dsl.MAX_NESTING)).run == dsl.Atom("U", (3, 5 + dsl.MAX_NESTING))
+
+
+def test_1000_nested_parentheses_exit_1_with_a_positioned_diagnostic(tmp_path, capsys):
+    from gpt_tomo import cli
+
+    path = tmp_path / "parens.opt"
+    path.write_text(_nested(1000))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    col = 5 + dsl.MAX_NESTING  # the first "(" past the limit
+    assert err == f"{path}:3:{col}: parentheses nested more than {dsl.MAX_NESTING} deep\n"
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 regex match per lexeme, whitespace included, eager line/column tracking and
 one ``parse_entry`` call per matrix entry.  On every input both must build
 the same AST with the same positions, or raise the same ``DslError``
-(message, line and column); no other exception may escape either.
+(message, line and column); no other exception may escape either.  The
+twin refuses parentheses nested more than 100 deep, as ``dsl.parse`` does.
 """
 
 import re
@@ -32,7 +33,9 @@ from gpt_tomo.dsl import (
     StochLit,
     SystemDecl,
     ValueDecl,
+    _parse,
     parse,
+    tokenize,
 )
 
 from conftest import perfbench_module
@@ -89,11 +92,15 @@ def slow_tokenize(text: str, filename: str = "<string>") -> list[SlowToken]:
     return tokens
 
 
+SLOW_MAX_NESTING = 100
+
+
 class _SlowParser:
     def __init__(self, tokens: list[SlowToken], filename: str):
         self.tokens = tokens
         self.filename = filename
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> SlowToken:
         return self.tokens[self.i]
@@ -275,9 +282,13 @@ class _SlowParser:
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "sym" and tok.text == "(":
+            if self.nesting == SLOW_MAX_NESTING:
+                raise self.error(f"parentheses nested more than {SLOW_MAX_NESTING} deep", tok)
+            self.nesting += 1
             self.next()
             inner = self.parse_expr()
             self.expect("sym", ")")
+            self.nesting -= 1
             return inner
         if tok.kind == "ident" and tok.text == "id":
             self.next()
@@ -396,3 +407,171 @@ FRAGMENTS = [
 )
 def test_fuzz_over_the_dsl_alphabet(text):
     assert_twins_agree(text)
+
+
+# ---------------------------------------------------------------------------
+# the bulk path: a regular kraus literal read as one token
+# ---------------------------------------------------------------------------
+
+def bulk_parse(text: str, filename: str = "<string>") -> CircuitAST:
+    """The bulk path alone, with no fallback to fine tokens."""
+    return _parse(text, filename, bulk=True)
+
+
+def in_program(literal: str) -> str:
+    backend = "classical" if literal.startswith("stoch") else "quantum"
+    return f"system A {backend} 2;\nproc U on A -> A = {literal};\nrun U\n"
+
+
+REGULAR = [
+    "kraus[[[1, 0], [0, 1]]]",
+    "kraus[[[1, 0]], [[0, 1]]]",
+    "kraus[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]",
+    "kraus[\n\t[[1,\t0],\n [0, 1]]\n]",
+    "kraus  \n [[[[0.6,\t0.8]\n, [0, 0]], [[0, 0],[-0.6, 0.8]]]]",
+    "kraus[[[-0, 1e999], [1E-400, 0]]]",
+    "kraus[[[[-0, -0], [1e999, 1E-400]], [[0, -1e999], [-1E-400, 007]]]]",
+    "kraus[[[0.5], [-5E-1]], [[2.5e0], [-0.0]]]",
+]
+
+
+@pytest.mark.parametrize("literal", REGULAR)
+def test_regular_literals_are_read_whole(literal):
+    text = in_program(literal)
+    assert [tok[0] for tok in tokenize(text)].count("kraus") == 1
+    assert outcome(bulk_parse, text) == outcome(slow_parse, text)
+    assert_twins_agree(text)
+
+
+IRREGULAR = [
+    # a comment inside
+    "kraus[[[1, 0], # first row\n [0, 1]]]",
+    "kraus[[[1, 0], [0, 1]] # one\n]",
+    # plain and pair entries mixed
+    "kraus[[[1, [0, 1]], [0, 1]]]",
+    "kraus[[[[1, 0], 0], [0, [1, 0]]]]",
+    "kraus[[[1, 0]], [[[0, 1], [1, 0]]]]",
+    # unequal rows, in one matrix or across matrices
+    "kraus[[[1, 0], [0]]]",
+    "kraus[[[1, 0], [0]], [[1]]]",
+    "kraus[[[1]], [[1, 0]]]",
+    "kraus[[[1, 0]], [[1], [0]]]",
+    "kraus[[[[1, 0], [0, 0]], [[1, 0]]]]",
+    # texts that float() accepts and the token grammar refuses
+    "kraus[[[+1]]]", "kraus[[[.5]]]", "kraus[[[1.]]]", "kraus[[[1e]]]", "kraus[[[1e+]]]",
+    "kraus[[[[+1, 0]]]]", "kraus[[[[0, .5]]]]", "kraus[[[[1., 0]]]]", "kraus[[[[1e, 0]]]]", "kraus[[[[0, 1e+]]]]",
+    "kraus[[[1.e5]]]", "kraus[[[-.5]]]", "kraus[[[1 2]]]", "kraus[[[1-2]]]", "kraus[[[--1]]]", "kraus[[[1e5e3]]]",
+    # empty, short or overlong nesting
+    "kraus[]", "kraus[[]]", "kraus[[[]]]", "kraus[[[1,]]]", "kraus[[[,1]]]", "kraus[[[1],]]",
+    "kraus[[[[1]]]]", "kraus[[[[1, 2, 3]]]]", "kraus[[[[[1, 0]]]]]", "kraus[[[1]]]]", "kraus[[[1]]",
+    "kraus[[1]]", "kraus[1]", "kraus[[[1]] [[1]]]",
+    # characters outside the bulk alphabet
+    "kraus[[[١]]]", "kraus[[[1,  0]]]", "kraus[[[1, x]]]",
+    # stochastic literals take the token path
+    "stoch[[[0, 1], [1, 0]]]", "stoch[[[0, [1, 0]], [1, 0]]]", "stoch[[[1e999, -0], [1E-400, 1]]]",
+    "stoch[[[+1, 0], [0, 1]]]", "stoch[[[1, 0], [0]]]",
+]
+
+
+@pytest.mark.parametrize("literal", IRREGULAR)
+def test_irregular_literals_take_the_token_path(literal):
+    assert_twins_agree(in_program(literal))
+
+
+MISPLACED = [
+    "system A quantum 2; run kraus[[[1]]]",
+    "system A quantum kraus[[[1]]];",
+    "system kraus[[[1]]] quantum 2;",
+    "kraus[[[1]]]",
+    "system A quantum 2; state kraus[[[1]]] on A = maxmix; run kraus",
+    "system A quantum 2; proc U on A -> kraus[[[1]]] = kraus[[[1]]]; run U",
+    "system A quantum 2; proc U on kraus[[[1]]] -> A = kraus[[[1]]]; run U",
+    "system A quantum 2; state s on A = kraus[[[1]]] kraus[[[1]]]; run s",
+    "system A quantum 2; proc U on A -> A = kraus[[[1]]]; run U . kraus[[[1]]]",
+    "system A quantum 2; proc U on A -> A = kraus[[[1]]]; run U || (kraus[[[1]]])",
+    "system A quantum 2; run id[kraus[[[1]]]]",
+    "system A quantum 2; proc U on A -> A = kraus[[[1]]]",
+    "system A quantum 2; proc U on A -> A = kraus [[[1]]]\n]; run U",
+    "system A quantum 2; proc U on A -> A = krausx[[[1]]]; run U",
+    "system A quantum 2; proc U on A -> A = xkraus[[[1]]]; run U",
+    "system A quantum 2; proc U on A -> A = 1kraus[[[1]]]; run U",
+]
+
+
+@pytest.mark.parametrize("text", MISPLACED)
+def test_a_kraus_literal_where_no_literal_may_stand(text):
+    assert_twins_agree(text)
+
+
+def test_a_large_literal_missing_one_bracket():
+    rows = ", ".join("[" + ", ".join(["0.125"] * 60) + "]" for _ in range(60))
+    text = in_program(f"kraus[[{rows}], [{rows}]]")
+    assert_twins_agree(text)
+    assert_twins_agree(text.replace("]", "", 1))
+
+
+@pytest.mark.parametrize("depth", [SLOW_MAX_NESTING, SLOW_MAX_NESTING + 1])
+def test_nesting_at_the_limit(depth):
+    assert_twins_agree("system A quantum 2; run " + "(" * depth + "id[A]" + ")" * depth)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_literals_are_read_whole(seed):
+    for prog in perfbench_module("circuits").generate(seed):
+        if prog.name.startswith(("chain", "lift")):
+            assert outcome(bulk_parse, prog.text) == outcome(slow_parse, prog.text)
+
+
+NUMBER_TEXTS = ["0", "-0", "1", "-1.5", "0.125", "2.5E-1", "-3e+2", "1e999", "1E-400", "007"]
+BAD_TEXTS = ["+1", ".5", "1.", "1e", "1e+", "1 2", "", "x", "[1, 2]", "[1]", "1,", "# c\n1"]
+SPACES = ["", " ", "  ", "\n", "\t", " \n\t"]
+
+
+@st.composite
+def near_regular_literals(draw):
+    """A regular kraus literal, or one with one entry, row or bracket changed; and whether it is regular."""
+    k, rows, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    pair = draw(st.booleans())
+    number = st.sampled_from(NUMBER_TEXTS)
+    space = st.sampled_from(SPACES)
+
+    def entry():
+        return f"[{draw(number)}{draw(space)},{draw(space)}{draw(number)}]" if pair else draw(number)
+
+    mats = [[[entry() for _ in range(cols)] for _ in range(rows)] for _ in range(k)]
+    edit = draw(st.sampled_from(["none", "entry", "kind", "drop entry", "add entry", "drop row", "bracket", "comment"]))
+    m, r = draw(st.integers(0, k - 1)), draw(st.integers(0, rows - 1))
+    row = mats[m][r]
+    at = draw(st.integers(0, len(row) - 1))
+    if edit == "entry":
+        row[at] = draw(st.sampled_from(BAD_TEXTS) | st.text(alphabet="-+.0123456789eE ", min_size=1, max_size=6))
+    elif edit == "kind":
+        row[at] = draw(number) if pair else f"[{draw(number)}, {draw(number)}]"
+    elif edit == "drop entry":
+        del row[at]
+    elif edit == "add entry":
+        row.insert(at, entry())
+    elif edit == "drop row":
+        del mats[m][r]
+    elif edit == "comment":
+        row[at] = "# note\n" + row[at]
+
+    def joined(items):
+        return "[" + f"{draw(space)},{draw(space)}".join(items) + "]"
+
+    text = "kraus" + draw(space) + joined([joined([joined(row) for row in mat]) for mat in mats])
+    if edit == "bracket":
+        brackets = [i for i, ch in enumerate(text) if ch in "[]"]
+        i = brackets[draw(st.integers(0, len(brackets) - 1))]
+        text = text[:i] + text[i] * draw(st.sampled_from([0, 2])) + text[i + 1:]  # dropped or doubled
+    return text, edit == "none"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_regular_literals())
+def test_fuzz_near_regular_literals(case):
+    literal, regular = case
+    text = in_program(literal)
+    assert_twins_agree(text)
+    if regular:
+        assert outcome(bulk_parse, text) == outcome(slow_parse, text)

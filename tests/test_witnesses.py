@@ -440,6 +440,19 @@ def test_purification_check_fails_when_the_marginal_is_off(monkeypatch, backend)
     assert not rep.passed
 
 
+@pytest.mark.parametrize("backend", [QUANTUM, REAL])
+def test_purification_check_raises_on_a_product_purification(monkeypatch, backend):
+    """Control for ``purity_rank == 1``: ``purify`` returns rho (x) sigma, which has the right marginal
+    but is not pure, and ``connect_purifications`` refuses it before the rank is read."""
+
+    def product(rho, *, tol=c.DEFAULT_TOL):
+        return c.tensor_states(rho, bk.complete_state(rho.system))
+
+    monkeypatch.setattr(bk, "purify", product)
+    with pytest.raises(ValueError, match="state is not pure"):
+        wt.purification_check(backend, 2)
+
+
 # ---------------------------------------------------------------------------
 # preparational faithfulness
 # ---------------------------------------------------------------------------
